@@ -10,11 +10,11 @@ import "math"
 // from the back. counts[i] and caps[i] describe group i in final processing
 // order; the caller guarantees len(counts) ≤ k and every count ≥ 1.
 //
-// This is the single copy of the allocation arithmetic shared by the
-// single-node finalize (finalizeGroups), the sharded scatter-gather finalize
-// (shard.FinalizeScatter), and the segmented engine's query-side
-// decomposition (seg): all integer bookkeeping, so every caller allocates
-// bit-identically.
+// It is the allocation step of the one final round (Final.Run) that the
+// single-node finalize, the sharded scatter-gather finalize
+// (shard.FinalizeScatter) and the segmented engine's query-side
+// decomposition (seg) all run: integer bookkeeping, so every caller
+// allocates bit-identically.
 func ProportionalAlloc(k int, counts, caps []int) []int {
 	n := len(counts)
 	alloc := make([]int, n)

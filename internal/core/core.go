@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime/pprof"
 	"sort"
@@ -25,7 +24,6 @@ import (
 
 	"qdcbir/internal/disk"
 	"qdcbir/internal/obs"
-	"qdcbir/internal/par"
 	"qdcbir/internal/rfs"
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/vec"
@@ -139,30 +137,19 @@ type Stats struct {
 	Rounds        int    // feedback rounds processed
 }
 
-// Session is one user's relevance-feedback interaction.
+// Session is one user's relevance-feedback interaction: a Panel over the
+// engine's RFS structure, with the session-lifetime page caches and
+// telemetry.
 type Session struct {
-	eng *Engine
-	rng *rand.Rand
+	eng   *Engine
+	panel *Panel[*rstar.Node]
 
-	frontier []*rstar.Node
-	relevant []rstar.ItemID
-	relSet   map[rstar.ItemID]bool
-	// assign is the query panel: each relevant image's currently associated
-	// subcluster, re-localized one level per round (§3.3 "the system records
-	// each relevant image and its associated subcluster").
-	assign map[rstar.ItemID]*rstar.Node
-
-	displayed map[rstar.ItemID]*rstar.Node // last display: rep -> frontier node
-	everShown map[rstar.ItemID]bool
-	cursors   map[disk.PageID]*displayCursor
-	weights   vec.Vector // optional §6 feature-importance weighting
 	// Session-lifetime page caches: §5.2.2's cost model counts one read per
 	// distinct node — representatives marked from the same cluster share the
 	// node access, and a node stays buffered for the rest of the session.
 	feedbackIO *disk.LRUCache
 	finalIO    *disk.LRUCache
-	stats      Stats
-	finalized  bool
+	expansions int
 	// baseFeedbackReads/baseFinalReads carry the read counters of a restored
 	// session's earlier life (RestoreSession); the live caches count only
 	// post-restore reads.
@@ -178,16 +165,38 @@ type Session struct {
 	lastFbAccesses uint64
 }
 
-// NewSession starts a query session; the rng drives the random candidate
-// displays.
-func (e *Engine) NewSession(rng *rand.Rand) *Session {
+// rfsTree is the PanelTree of one RFS structure, charging node reads to the
+// session's feedback cache.
+type rfsTree struct {
+	rfs *rfs.Structure
+	io  disk.Accounter
+}
+
+func (t rfsTree) Roots() []*rstar.Node { return []*rstar.Node{t.rfs.Root()} }
+
+func (t rfsTree) Reps(n *rstar.Node) []int { return idsToInts(t.rfs.Reps(n, t.io)) }
+
+func (t rfsTree) IsLeaf(n *rstar.Node) bool { return n.IsLeaf() }
+
+func (t rfsTree) ChildContaining(n *rstar.Node, id int) (*rstar.Node, bool) {
+	t.io.Access(n.ID())
+	c := t.rfs.ChildContaining(n, rstar.ItemID(id))
+	return c, c != nil
+}
+
+func (t rfsTree) Narrower(a, b *rstar.Node) bool { return t.rfs.SubtreeSize(a) < t.rfs.SubtreeSize(b) }
+
+func (t rfsTree) Less(a, b *rstar.Node) bool { return a.ID() < b.ID() }
+
+func (e *Engine) dim() int { return len(e.rfs.Point(0)) }
+
+// newSession wraps a panel whose tree charges feedbackIO with the
+// session's final-round cache and telemetry.
+func (e *Engine) newSession(feedbackIO *disk.LRUCache, p *Panel[*rstar.Node]) *Session {
 	s := &Session{
 		eng:        e,
-		rng:        rng,
-		frontier:   []*rstar.Node{e.rfs.Root()},
-		relSet:     make(map[rstar.ItemID]bool),
-		everShown:  make(map[rstar.ItemID]bool),
-		feedbackIO: disk.NewLRUCache(1 << 16),
+		panel:      p,
+		feedbackIO: feedbackIO,
 		finalIO:    disk.NewLRUCache(1 << 16),
 	}
 	if o := e.cfg.Observer; o != nil {
@@ -197,150 +206,56 @@ func (e *Engine) NewSession(rng *rand.Rand) *Session {
 	return s
 }
 
+// NewSession starts a query session; the rng drives the random candidate
+// displays.
+func (e *Engine) NewSession(rng *rand.Rand) *Session {
+	io := disk.NewLRUCache(1 << 16)
+	return e.newSession(io, NewPanel[*rstar.Node](rfsTree{e.rfs, io}, rng, e.dim()))
+}
+
 // Trace returns the session's trace span (nil when the engine has no
 // observer). Callers may attach a correlation label via Trace.SetLabel.
 func (s *Session) Trace() *obs.Trace { return s.trace }
 
 // Frontier returns the current subquery anchor nodes (shared slice; do not
 // modify).
-func (s *Session) Frontier() []*rstar.Node { return s.frontier }
+func (s *Session) Frontier() []*rstar.Node { return s.panel.Frontier() }
 
-// Relevant returns all images marked relevant so far (shared; do not modify).
-func (s *Session) Relevant() []rstar.ItemID { return s.relevant }
+// Relevant returns all images marked relevant so far, in marking order.
+func (s *Session) Relevant() []rstar.ItemID { return intsToIDs(s.panel.Relevant()) }
 
 // Stats returns the session's accumulated cost statistics.
 func (s *Session) Stats() Stats {
-	st := s.stats
-	st.FeedbackReads = s.baseFeedbackReads + s.feedbackIO.Reads()
-	st.FinalReads = s.baseFinalReads + s.finalIO.Reads()
-	return st
+	return Stats{
+		FeedbackReads: s.baseFeedbackReads + s.feedbackIO.Reads(),
+		FinalReads:    s.baseFinalReads + s.finalIO.Reads(),
+		Expansions:    s.expansions,
+		Rounds:        s.panel.Rounds(),
+	}
 }
 
-// Candidates draws up to DisplayCount representatives across the frontier,
-// sampling each node proportionally to its representative count (so large
-// clusters contribute more, mirroring the prototype's random browsing). The
-// returned slice records which frontier node each candidate represents;
-// Feedback only accepts images that have been displayed.
+// Candidates draws up to DisplayCount representatives across the frontier
+// (Panel.Candidates). The returned slice records which frontier node each
+// candidate represents; Feedback only accepts images that have been
+// displayed.
 func (s *Session) Candidates() []Candidate {
-	limit := s.eng.cfg.DisplayCount
-	type pool struct {
-		node *rstar.Node
-		reps []rstar.ItemID
-	}
-	var pools []pool
-	total := 0
-	for _, n := range s.frontier {
-		reps := s.eng.rfs.Reps(n, s.feedbackIO)
-		if len(reps) == 0 {
-			continue
-		}
-		pools = append(pools, pool{node: n, reps: reps})
-		total += len(reps)
-	}
-	if total == 0 {
+	shown := s.panel.Candidates(s.eng.cfg.DisplayCount)
+	if len(shown) == 0 {
 		return nil
 	}
-	if s.displayed == nil {
-		s.displayed = make(map[rstar.ItemID]*rstar.Node)
-	}
-	var out []Candidate
-	if total <= limit {
-		for _, p := range pools {
-			for _, id := range p.reps {
-				out = append(out, Candidate{ID: id, Node: p.node})
-			}
-		}
-	} else {
-		// Proportional allocation with at least one slot per pool, then a
-		// random draw without replacement inside each pool.
-		remaining := limit
-		for i, p := range pools {
-			share := int(math.Round(float64(limit) * float64(len(p.reps)) / float64(total)))
-			if share < 1 {
-				share = 1
-			}
-			if i == len(pools)-1 {
-				share = remaining
-			}
-			if share > len(p.reps) {
-				share = len(p.reps)
-			}
-			if share > remaining {
-				share = remaining
-			}
-			for _, id := range s.take(p.node.ID(), p.reps, share) {
-				out = append(out, Candidate{ID: id, Node: p.node})
-			}
-			remaining -= share
-			if remaining <= 0 {
-				break
-			}
-		}
-	}
-	for _, c := range out {
-		s.displayed[c.ID] = c.Node
-		s.everShown[c.ID] = true
+	out := make([]Candidate, len(shown))
+	for i, c := range shown {
+		out[i] = Candidate{ID: rstar.ItemID(c.ID), Node: c.Node}
 	}
 	s.trace.AddDisplayed(len(out))
 	return out
 }
 
-// displayCursor pages through one node's representatives in a shuffled order
-// without repetition, reshuffling once exhausted — the effective behaviour of
-// a user repeatedly pressing the GUI's "Random" button until they have seen
-// the candidate pool (§4). With-replacement sampling would leave rarely-drawn
-// representatives unseen no matter how long the user browses.
-type displayCursor struct {
-	order []rstar.ItemID
-	pos   int
-}
-
-// take returns the next n representatives under the cursor.
-func (s *Session) take(nodeID disk.PageID, reps []rstar.ItemID, n int) []rstar.ItemID {
-	if s.cursors == nil {
-		s.cursors = make(map[disk.PageID]*displayCursor)
-	}
-	cur, ok := s.cursors[nodeID]
-	if !ok || len(cur.order) != len(reps) {
-		cur = &displayCursor{order: append([]rstar.ItemID(nil), reps...)}
-		s.rng.Shuffle(len(cur.order), func(i, j int) { cur.order[i], cur.order[j] = cur.order[j], cur.order[i] })
-		s.cursors[nodeID] = cur
-	}
-	out := make([]rstar.ItemID, 0, n)
-	for len(out) < n {
-		if cur.pos >= len(cur.order) {
-			s.rng.Shuffle(len(cur.order), func(i, j int) { cur.order[i], cur.order[j] = cur.order[j], cur.order[i] })
-			cur.pos = 0
-		}
-		out = append(out, cur.order[cur.pos])
-		cur.pos++
-		if len(out) >= len(cur.order) {
-			break // pool smaller than the request: one full pass is enough
-		}
-	}
-	return out
-}
-
-// ErrFinalized is returned when a session is used after Finalize.
-var ErrFinalized = errors.New("core: session already finalized")
-
-// Feedback processes one round of user relevance feedback: the marked images
-// must have appeared in a previous Candidates call.
-//
-// The session mirrors the prototype's ImageGrouper protocol (§4): relevant
-// images persist in the query panel, and every round the system re-localizes
-// each one — the subquery anchored at an image's current subcluster descends
-// one level toward the image's leaf (§3.2, "the system records each relevant
-// image and its associated subcluster"). New marks join the panel at the
-// child of the cluster that displayed them. The frontier — the set of active
-// localized subqueries — is the set of distinct subclusters currently
-// assigned to relevant images, so the query splits exactly when relevant
-// images diverge into different clusters and discards branches in which the
-// user never marked anything.
+// Feedback processes one round of user relevance feedback (Panel.Feedback):
+// the marked images must have appeared in a previous Candidates call.
+// Determining the child a mark descends to reads the node's entry table — one
+// page access (§5.2.2).
 func (s *Session) Feedback(marked []rstar.ItemID) error {
-	if s.finalized {
-		return ErrFinalized
-	}
 	o := s.eng.cfg.Observer
 	var t0 time.Time
 	var offsetNS int64
@@ -348,54 +263,17 @@ func (s *Session) Feedback(marked []rstar.ItemID) error {
 		offsetNS = s.trace.SinceStart()
 		t0 = time.Now()
 	}
-	s.stats.Rounds++
-	if s.assign == nil {
-		s.assign = make(map[rstar.ItemID]*rstar.Node)
+	if err := s.panel.Feedback(idsToInts(marked)); err != nil {
+		return err
 	}
-	// New marks enter the panel at the displaying cluster's child containing
-	// them. Determining the child reads the node's entry table — one page
-	// access (§5.2.2).
-	for _, id := range marked {
-		node, ok := s.displayed[id]
-		if !ok {
-			return fmt.Errorf("core: image %d was not displayed", id)
-		}
-		if !s.relSet[id] {
-			s.relSet[id] = true
-			s.relevant = append(s.relevant, id)
-		}
-		s.feedbackIO.Access(node.ID())
-		child := s.eng.rfs.ChildContaining(node, id)
-		if child == nil {
-			child = node // displaying node is a leaf: maximally localized
-		}
-		// A re-mark from a shallower display must not regress a deeper
-		// assignment.
-		if cur, ok := s.assign[id]; !ok || s.eng.rfs.SubtreeSize(child) < s.eng.rfs.SubtreeSize(cur) {
-			s.assign[id] = child
-		}
-	}
-	// Re-localize the whole panel: every relevant image's subquery descends
-	// one level toward its leaf.
-	for _, id := range s.relevant {
-		n := s.assign[id]
-		if n == nil || n.IsLeaf() {
-			continue
-		}
-		s.feedbackIO.Access(n.ID())
-		if child := s.eng.rfs.ChildContaining(n, id); child != nil {
-			s.assign[id] = child
-		}
-	}
-	s.rebuildFrontier()
 	if o != nil {
 		reads, accesses := s.feedbackIO.Reads(), s.feedbackIO.Accesses()
 		o.RoundDone(s.trace, obs.RoundSpan{
-			Round:        s.stats.Rounds,
+			Round:        s.panel.Rounds(),
 			OffsetNS:     offsetNS,
 			Marked:       len(marked),
-			Relevant:     len(s.relevant),
-			Subqueries:   len(s.frontier),
+			Relevant:     len(s.panel.Relevant()),
+			Subqueries:   len(s.panel.Frontier()),
 			NodesVisited: accesses - s.lastFbAccesses,
 			PageReads:    reads - s.lastFbReads,
 			DurationNS:   time.Since(t0).Nanoseconds(),
@@ -410,71 +288,11 @@ func (s *Session) Feedback(marked []rstar.ItemID) error {
 // user-defined feature-importance extension of §6. Pass nil to restore plain
 // Euclidean scoring. Weights must be non-negative and match the corpus
 // dimensionality; invalid weights are rejected.
-func (s *Session) SetFeatureWeights(w vec.Vector) error {
-	if w == nil {
-		s.weights = nil
-		return nil
-	}
-	if len(w) != len(s.eng.rfs.Point(0)) {
-		return fmt.Errorf("core: weight dim %d != corpus dim %d", len(w), len(s.eng.rfs.Point(0)))
-	}
-	for i, x := range w {
-		if x < 0 {
-			return fmt.Errorf("core: negative weight at dim %d", i)
-		}
-	}
-	s.weights = w.Clone()
-	return nil
-}
+func (s *Session) SetFeatureWeights(w vec.Vector) error { return s.panel.SetFeatureWeights(w) }
 
-// Retract removes previously marked images from the query panel (the
-// ImageGrouper interface lets users drag images back out). Subqueries kept
-// alive only by retracted marks are discarded; retracting everything returns
-// the session to browsing the root.
-func (s *Session) Retract(ids []rstar.ItemID) {
-	if s.finalized {
-		return
-	}
-	drop := make(map[rstar.ItemID]bool, len(ids))
-	for _, id := range ids {
-		if s.relSet[id] {
-			drop[id] = true
-			delete(s.relSet, id)
-			delete(s.assign, id)
-		}
-	}
-	if len(drop) == 0 {
-		return
-	}
-	kept := s.relevant[:0]
-	for _, id := range s.relevant {
-		if !drop[id] {
-			kept = append(kept, id)
-		}
-	}
-	s.relevant = kept
-	s.rebuildFrontier()
-}
-
-// rebuildFrontier derives the active subqueries from the panel assignments.
-func (s *Session) rebuildFrontier() {
-	if len(s.assign) == 0 {
-		// Empty panel (nothing marked, or everything retracted): browse the
-		// whole database again.
-		s.frontier = []*rstar.Node{s.eng.rfs.Root()}
-		return
-	}
-	next := make(map[disk.PageID]*rstar.Node, len(s.assign))
-	for _, n := range s.assign {
-		next[n.ID()] = n
-	}
-	s.frontier = s.frontier[:0]
-	for _, n := range next {
-		s.frontier = append(s.frontier, n)
-	}
-	// Deterministic order for reproducible displays.
-	sort.Slice(s.frontier, func(i, j int) bool { return s.frontier[i].ID() < s.frontier[j].ID() })
-}
+// Retract removes previously marked images from the query panel
+// (Panel.Retract).
+func (s *Session) Retract(ids []rstar.ItemID) { s.panel.Retract(idsToInts(ids)) }
 
 // ScoredImage is one result image with its similarity score (Euclidean
 // distance to the local query centroid; smaller is more similar).
@@ -539,19 +357,13 @@ func (s *Session) Finalize(k int) (*Result, error) {
 	return s.FinalizeCtx(context.Background(), k)
 }
 
-// FinalizeCtx is Finalize with cancellation. A cancelled context aborts the
-// localized k-NN subqueries mid-flight; the session still counts as finalized
-// (feedback state has been consumed) but no partial result is returned.
+// FinalizeCtx is Finalize with cancellation. Invalid arguments leave the
+// session usable. A cancelled context aborts the localized k-NN subqueries
+// mid-flight; the session still counts as finalized (feedback state has been
+// consumed) but no partial result is returned.
 func (s *Session) FinalizeCtx(ctx context.Context, k int) (*Result, error) {
-	if s.finalized {
-		return nil, ErrFinalized
-	}
-	s.finalized = true
-	if k <= 0 {
-		return nil, fmt.Errorf("core: invalid k=%d", k)
-	}
-	if len(s.relevant) == 0 {
-		return nil, errors.New("core: no relevant feedback given")
+	if err := s.panel.Finalize(k); err != nil {
+		return nil, err
 	}
 	if o := s.eng.cfg.Observer; o != nil {
 		// Browsing I/O after the last feedback round has no round span to carry
@@ -561,7 +373,7 @@ func (s *Session) FinalizeCtx(ctx context.Context, k int) (*Result, error) {
 		o.AddFeedbackReads(reads - s.lastFbReads)
 		s.lastFbReads = reads
 	}
-	return finalizeGroups(ctx, s.eng, s.relevant, s.assign, k, s.weights, s.finalIO, &s.stats, s.trace)
+	return finalizeGroups(ctx, s.eng, s.panel.relevant, s.panel.assign, k, s.panel.weights, s.finalIO, &s.expansions, s.trace)
 }
 
 // QueryByExamples runs the final localized query processing directly from a
@@ -584,30 +396,21 @@ func (e *Engine) QueryByExamplesCtx(ctx context.Context, relevant []rstar.ItemID
 	if len(relevant) == 0 {
 		return nil, stats, errors.New("core: no example images given")
 	}
-	if weights != nil {
-		if len(weights) != len(e.rfs.Point(0)) {
-			return nil, stats, fmt.Errorf("core: weight dim %d != corpus dim %d", len(weights), len(e.rfs.Point(0)))
-		}
-		for i, w := range weights {
-			if w < 0 {
-				return nil, stats, fmt.Errorf("core: negative weight at dim %d", i)
-			}
-		}
+	if err := CheckWeights(weights, e.dim()); err != nil {
+		return nil, stats, err
 	}
-	assign := make(map[rstar.ItemID]*rstar.Node, len(relevant))
-	var ids []rstar.ItemID
-	seen := make(map[rstar.ItemID]bool, len(relevant))
+	assign := make(map[int]*rstar.Node, len(relevant))
+	var ids []int
 	for _, id := range relevant {
-		if seen[id] {
+		if assign[int(id)] != nil {
 			continue
 		}
 		leaf := e.rfs.LeafOf(id)
 		if leaf == nil {
 			return nil, stats, fmt.Errorf("core: unknown image %d", id)
 		}
-		seen[id] = true
-		assign[id] = leaf
-		ids = append(ids, id)
+		assign[int(id)] = leaf
+		ids = append(ids, int(id))
 	}
 	if acc == nil {
 		acc = disk.NewLRUCache(1 << 16)
@@ -618,307 +421,137 @@ func (e *Engine) QueryByExamplesCtx(ctx context.Context, relevant []rstar.ItemID
 		t.SetLabel(obs.TraceLabelFromContext(ctx))
 	}
 	before := acc.Reads()
-	res, err := finalizeGroups(ctx, e, ids, assign, k, weights, acc, &stats, t)
+	res, err := finalizeGroups(ctx, e, ids, assign, k, weights, acc, &stats.Expansions, t)
 	stats.FinalReads = acc.Reads() - before
 	return res, stats, err
 }
 
-// finalizeGroups is the shared final-round machinery behind Session.Finalize
-// and Engine.QueryByExamples.
-func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, assign map[rstar.ItemID]*rstar.Node, k int, weights vec.Vector, finalIO disk.Accounter, stats *Stats, trace *obs.Trace) (*Result, error) {
+// finalizeGroups is the final round behind Session.Finalize and
+// Engine.QueryByExamples: one subquery per assigned subcluster, its search
+// area widened by the §3.3 boundary test, run by the shared Final round over
+// this engine's tree. Each first-pass search records its node accesses in a
+// private trace, replayed into finalIO in subquery order, so results AND
+// simulated I/O counts are identical at every Parallelism setting.
+func finalizeGroups(ctx context.Context, eng *Engine, relevant []int, assign map[int]*rstar.Node, k int, weights vec.Vector, finalIO disk.Accounter, expansions *int, trace *obs.Trace) (*Result, error) {
 	o := eng.cfg.Observer
 	var t0 time.Time
 	var offsetNS int64
 	var readsBefore uint64
-	expBefore := stats.Expansions
+	expBefore := *expansions
 	if o != nil {
 		offsetNS = trace.SinceStart()
 		t0 = time.Now()
 		readsBefore = finalIO.Reads()
 	}
-	// Group the query panel by assigned subcluster: "a localized multipoint
-	// query is computed for each subset of relevant images belonging to a
-	// given subcluster" (§3.3).
-	type local struct {
-		node *rstar.Node
-		ids  []rstar.ItemID
-	}
-	byNode := make(map[disk.PageID]*local)
-	var order []disk.PageID // deterministic group processing order
-	for _, id := range relevant {
-		n := assign[id]
+	subs := RankSubqueries(GroupByKey(len(relevant), func(i int) (uint64, bool) {
+		n := assign[relevant[i]]
 		if n == nil {
-			continue
+			return 0, false
 		}
-		l, ok := byNode[n.ID()]
-		if !ok {
-			l = &local{node: n}
-			byNode[n.ID()] = l
-			order = append(order, n.ID())
-		}
-		l.ids = append(l.ids, id)
-	}
-	if len(byNode) == 0 {
+		return uint64(n.ID()), true
+	}), k)
+	if len(subs) == 0 {
 		return nil, errors.New("core: no relevant image lies under the current frontier")
-	}
-
-	sort.Slice(order, func(i, j int) bool {
-		a, b := byNode[order[i]], byNode[order[j]]
-		if len(a.ids) != len(b.ids) {
-			return len(a.ids) > len(b.ids)
-		}
-		return order[i] < order[j]
-	})
-	// More subqueries than result slots: keep only the k most relevant.
-	if len(order) > k {
-		order = order[:k]
 	}
 
 	// Resolve each subquery's search area first (§3.3 boundary test: expand
 	// while any local query image sits near its node's boundary), since the
 	// search area caps how many images the subquery can supply.
 	type prepared struct {
-		l        *local
-		search   *rstar.Node
-		centroid vec.Vector
-		cap      int
+		node, search *rstar.Node
+		ids          []rstar.ItemID
+		centroid     vec.Vector
 	}
-	preps := make(map[disk.PageID]*prepared, len(order))
-	for _, nodeID := range order {
-		l := byNode[nodeID]
-		qpts := make([]vec.Vector, len(l.ids))
-		for i, id := range l.ids {
-			qpts[i] = eng.rfs.Point(id)
+	preps := make([]prepared, len(subs))
+	caps := make([]int, len(subs))
+	for i, sq := range subs {
+		p := &preps[i]
+		p.node = assign[relevant[sq.Members[0]]]
+		p.ids = make([]rstar.ItemID, len(sq.Members))
+		qpts := make([]vec.Vector, len(sq.Members))
+		for j, m := range sq.Members {
+			p.ids[j] = rstar.ItemID(relevant[m])
+			qpts[j] = eng.rfs.Point(p.ids[j])
 		}
-		search := eng.rfs.ExpandForQuery(l.node, qpts, eng.cfg.BoundaryThreshold)
-		if search != l.node {
-			stats.Expansions++
+		p.search = eng.rfs.ExpandForQuery(p.node, qpts, eng.cfg.BoundaryThreshold)
+		if p.search != p.node {
+			*expansions++
 		}
-		preps[nodeID] = &prepared{
-			l:        l,
-			search:   search,
-			centroid: vec.Centroid(qpts),
-			cap:      eng.rfs.SubtreeSize(search),
-		}
+		p.centroid = vec.Centroid(qpts)
+		caps[i] = eng.rfs.SubtreeSize(p.search)
 	}
 
-	// Allocate k across subqueries proportionally to their relevant counts
-	// (§3.4), each capped by its searchable subtree, with leftovers
-	// round-robined to groups that still have capacity.
-	counts := make([]int, len(order))
-	caps := make([]int, len(order))
-	for i, nodeID := range order {
-		counts[i] = len(byNode[nodeID].ids)
-		caps[i] = preps[nodeID].cap
-	}
-	allocs := ProportionalAlloc(k, counts, caps)
-	alloc := make(map[disk.PageID]int, len(order))
-	for i, nodeID := range order {
-		alloc[nodeID] = allocs[i]
-	}
-
-	// Run the localized subqueries on the engine's worker pool. Each subquery
-	// requests alloc+k neighbours — enough to fill its allocation even if
-	// every image claimed by an earlier group (at most k in total) overlaps
-	// its expanded search area — and records its node accesses in a private
-	// trace. Because a larger k-NN request returns a prefix-consistent
-	// superset, the request size is independent of the other groups and the
-	// subqueries can run concurrently; the traces are then replayed into the
-	// session cache in group order, so results AND simulated I/O counts are
-	// identical at every Parallelism setting.
-	neighborLists := make([][]rstar.Neighbor, len(order))
-	recorders := make([]*disk.Recorder, len(order))
+	recorders := make([]*disk.Recorder, len(subs))
 	var sqStats []rstar.SearchStats
 	var sqDur, sqOff []int64
-	if o != nil {
-		sqStats = make([]rstar.SearchStats, len(order))
-		for i := range sqStats {
-			sqStats[i].Timed = true // per-phase scan/rerank wall time for the spans
-		}
-		sqDur = make([]int64, len(order))
-		sqOff = make([]int64, len(order))
-	}
-	subqueryBody := func(i int) error {
-		p := preps[order[i]]
-		rec := &disk.Recorder{}
-		var st *rstar.SearchStats
-		var start time.Time
-		if o != nil {
-			st = &sqStats[i]
-			sqOff[i] = trace.SinceStart()
-			start = time.Now()
-		}
-		ns, err := localKNN(ctx, eng, weights, rec, p.search, p.centroid, alloc[order[i]]+k, st)
-		if err != nil {
-			return err
-		}
-		if o != nil {
-			sqDur[i] = time.Since(start).Nanoseconds()
-		}
-		neighborLists[i] = ns
-		recorders[i] = rec
-		return nil
-	}
-	// Coalesce subqueries whose boundary-expanded search areas resolved to the
-	// SAME node: their sweeps cover identical leaves, so the engine answers
-	// each such bundle with one multi-query batch search, amortizing every
-	// leaf-block load across the bundle. The batch paths are bit-identical per
-	// subquery to the independent calls — results, stats, and recorder traces
-	// alike (rstar/batch.go) — so grouping changes throughput only. Weighted
-	// queries keep the single-query path (there is no weighted multi kernel).
-	var batches [][]int
-	if weights == nil {
-		batchOf := make(map[*rstar.Node]int, len(order))
-		for i, nodeID := range order {
-			search := preps[nodeID].search
-			if b, ok := batchOf[search]; ok {
-				batches[b] = append(batches[b], i)
-				continue
-			}
-			batchOf[search] = len(batches)
-			batches = append(batches, []int{i})
-		}
-	} else {
-		for i := range order {
-			batches = append(batches, []int{i})
-		}
-	}
-	batchBody := func(b int) error {
-		idxs := batches[b]
-		if len(idxs) == 1 {
-			return subqueryBody(idxs[0])
-		}
-		qs := make([]vec.Vector, len(idxs))
-		ks := make([]int, len(idxs))
-		accs := make([]disk.Accounter, len(idxs))
-		var sts []*rstar.SearchStats
-		if o != nil {
-			sts = make([]*rstar.SearchStats, len(idxs))
-		}
-		for bi, i := range idxs {
-			p := preps[order[i]]
-			qs[bi] = p.centroid
-			ks[bi] = alloc[order[i]] + k
-			rec := &disk.Recorder{}
-			accs[bi] = rec
-			recorders[i] = rec
-			if o != nil {
-				sts[bi] = &sqStats[i]
-				sqOff[i] = trace.SinceStart()
-			}
-		}
-		var start time.Time
-		if o != nil {
-			start = time.Now()
-		}
-		lists, err := localKNNBatch(ctx, eng, preps[order[idxs[0]]].search, qs, ks, accs, sts)
-		if err != nil {
-			return err
-		}
-		for bi, i := range idxs {
-			neighborLists[i] = lists[bi]
-			if o != nil {
-				sqDur[i] = time.Since(start).Nanoseconds()
-			}
-		}
-		return nil
-	}
-	runSubqueries := func() error {
-		return par.Do(ctx, len(batches), eng.cfg.Parallelism, batchBody)
-	}
-	if o != nil {
-		// Tag the subquery pool so CPU profiles attribute samples to the
-		// finalize fan-out. pprof.Do costs a goroutine-label swap, so it is
-		// gated on the observer like every other instrumentation point.
-		inner := runSubqueries
-		runSubqueries = func() (err error) {
-			pprof.Do(ctx, pprof.Labels("phase", "subquery"), func(context.Context) {
-				err = inner()
-			})
-			return err
-		}
-	}
-	if err := runSubqueries(); err != nil {
-		return nil, err
-	}
-	var mergeStart time.Time
-	var mergeOffsetNS int64
 	var topupStats rstar.SearchStats
 	var topupSt *rstar.SearchStats
 	if o != nil {
-		mergeOffsetNS = trace.SinceStart()
-		mergeStart = time.Now()
+		sqStats = make([]rstar.SearchStats, len(subs))
+		for i := range sqStats {
+			sqStats[i].Timed = true // per-phase scan/rerank wall time for the spans
+		}
+		sqDur = make([]int64, len(subs))
+		sqOff = make([]int64, len(subs))
 		topupSt = &topupStats
 	}
-
-	// Serial merge: overlapping search areas mean an image already claimed by
-	// an earlier group is skipped; a top-up pass redistributes any remaining
-	// shortfall.
-	res := &Result{}
-	seen := make(map[rstar.ItemID]bool, k)
-	groups := make(map[disk.PageID]*Group, len(order))
-	for i, nodeID := range order {
-		p := preps[nodeID]
-		g := &Group{Node: p.l.node, SearchNode: p.search, QueryIDs: p.l.ids}
-		recorders[i].Replay(finalIO)
-		for _, n := range neighborLists[i] {
-			if len(g.Images) >= alloc[nodeID] {
-				break
+	var mergeStart time.Time
+	var mergeOffsetNS int64
+	groups, err := Final{
+		K:           k,
+		Parallelism: eng.cfg.Parallelism,
+		Subs:        subs,
+		Caps:        caps,
+		Search: func(ctx context.Context, i, want int, topUp bool) (hits []Hit, err error) {
+			p := &preps[i]
+			if topUp {
+				return localKNN(ctx, eng, weights, finalIO, p.search, p.centroid, want, topupSt)
 			}
-			if seen[n.ID] {
-				continue
+			recorders[i] = &disk.Recorder{}
+			if o == nil {
+				return localKNN(ctx, eng, weights, recorders[i], p.search, p.centroid, want, nil)
 			}
-			seen[n.ID] = true
-			g.Images = append(g.Images, ScoredImage{ID: n.ID, Score: n.Dist})
-			g.RankScore += n.Dist
-		}
-		groups[nodeID] = g
+			// Tag the subquery so CPU profiles attribute samples to the
+			// finalize fan-out; pprof.Do costs a goroutine-label swap, so it
+			// is gated on the observer like every other instrumentation point.
+			sqOff[i] = trace.SinceStart()
+			start := time.Now()
+			pprof.Do(ctx, pprof.Labels("phase", "subquery"), func(ctx context.Context) {
+				hits, err = localKNN(ctx, eng, weights, recorders[i], p.search, p.centroid, want, &sqStats[i])
+			})
+			sqDur[i] = time.Since(start).Nanoseconds()
+			return hits, err
+		},
+		Gathered: func() {
+			for _, rec := range recorders {
+				rec.Replay(finalIO)
+			}
+			if o != nil {
+				mergeOffsetNS = trace.SinceStart()
+				mergeStart = time.Now()
+			}
+		},
+	}.Run(ctx)
+	if err != nil {
+		return nil, err
 	}
-	for deficit := k - len(seen); deficit > 0; {
-		progressed := false
-		for _, nodeID := range order {
-			if deficit <= 0 {
-				break
-			}
-			p, g := preps[nodeID], groups[nodeID]
-			if len(g.Images) >= p.cap {
-				continue
-			}
-			want := len(g.Images) + deficit + len(seen)
-			more, err := localKNN(ctx, eng, weights, finalIO, p.search, p.centroid, want, topupSt)
-			if err != nil {
-				return nil, err
-			}
-			for _, n := range more {
-				if deficit <= 0 {
-					break
-				}
-				if seen[n.ID] {
-					continue
-				}
-				seen[n.ID] = true
-				g.Images = append(g.Images, ScoredImage{ID: n.ID, Score: n.Dist})
-				g.RankScore += n.Dist
-				deficit--
-				progressed = true
-			}
+	res := &Result{Groups: make([]Group, len(groups))}
+	allocs := make([]int, len(subs))
+	for gi, g := range groups {
+		p := &preps[g.Sub]
+		allocs[g.Sub] = g.Alloc
+		out := Group{Node: p.node, SearchNode: p.search, QueryIDs: p.ids, RankScore: g.RankScore}
+		for _, h := range g.Images {
+			out.Images = append(out.Images, ScoredImage{ID: rstar.ItemID(h.ID), Score: h.Dist})
 		}
-		if !progressed {
-			break // every search area exhausted; fewer than k images exist
-		}
+		res.Groups[gi] = out
 	}
-	for _, nodeID := range order {
-		res.Groups = append(res.Groups, *groups[nodeID])
-	}
-	// §3.4: groups presented in ranking-score order (ascending summed
-	// distance: a group whose members lie closer to its query ranks first).
-	sort.SliceStable(res.Groups, func(i, j int) bool { return res.Groups[i].RankScore < res.Groups[j].RankScore })
 	if o != nil {
 		span := obs.FinalizeSpan{
 			K:               k,
 			OffsetNS:        offsetNS,
-			Subqueries:      len(order),
-			Expansions:      stats.Expansions - expBefore,
+			Subqueries:      len(subs),
+			Expansions:      *expansions - expBefore,
 			PageReads:       finalIO.Reads() - readsBefore,
 			HeapPops:        topupStats.HeapPops,
 			RerankFallbacks: topupStats.RerankFallbacks,
@@ -926,16 +559,16 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 			MergeNS:         time.Since(mergeStart).Nanoseconds(),
 			DurationNS:      time.Since(t0).Nanoseconds(),
 		}
-		for i, nodeID := range order {
-			p := preps[nodeID]
+		for i, sq := range subs {
+			p := &preps[i]
 			span.HeapPops += sqStats[i].HeapPops
 			span.RerankFallbacks += sqStats[i].RerankFallbacks
 			span.Subspans = append(span.Subspans, obs.SubquerySpan{
-				Node:            uint64(nodeID),
+				Node:            sq.Key,
 				OffsetNS:        sqOff[i],
-				QueryImages:     len(p.l.ids),
-				Allocated:       alloc[nodeID],
-				Expanded:        p.search != p.l.node,
+				QueryImages:     len(p.ids),
+				Allocated:       allocs[i],
+				Expanded:        p.search != p.node,
 				HeapPops:        sqStats[i].HeapPops,
 				NodesRead:       sqStats[i].NodesRead,
 				PageAccesses:    uint64(len(recorders[i].Trace())),
@@ -951,31 +584,29 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 	return res, nil
 }
 
-// localKNN runs one localized subquery search, honouring an optional
-// feature-importance weighting. st, when non-nil, accumulates the search's
-// effort counters.
-func localKNN(ctx context.Context, eng *Engine, weights vec.Vector, acc disk.Accounter, n *rstar.Node, q vec.Vector, k int, st *rstar.SearchStats) ([]rstar.Neighbor, error) {
-	if weights != nil {
-		return eng.rfs.Tree().KNNWeightedFromStatsCtx(ctx, n, q, weights, k, acc, st)
+// localKNN runs one localized subquery search in the configured scan mode,
+// honouring an optional feature-importance weighting. st, when non-nil,
+// accumulates the search's effort counters.
+func localKNN(ctx context.Context, eng *Engine, weights vec.Vector, acc disk.Accounter, n *rstar.Node, q vec.Vector, k int, st *rstar.SearchStats) ([]Hit, error) {
+	tree := eng.rfs.Tree()
+	var ns []rstar.Neighbor
+	var err error
+	switch {
+	case weights != nil:
+		ns, err = tree.KNNWeightedFromStatsCtx(ctx, n, q, weights, k, acc, st)
+	case eng.cfg.Float32:
+		ns, err = tree.KNNF32FromStatsCtx(ctx, n, q, k, acc, st)
+	case eng.cfg.Quantized:
+		ns, err = tree.KNNQuantFromStatsCtx(ctx, n, q, k, eng.cfg.RerankFactor, acc, st)
+	default:
+		ns, err = tree.KNNFromStatsCtx(ctx, n, q, k, acc, st)
 	}
-	if eng.cfg.Float32 {
-		return eng.rfs.Tree().KNNF32FromStatsCtx(ctx, n, q, k, acc, st)
+	if err != nil {
+		return nil, err
 	}
-	if eng.cfg.Quantized {
-		return eng.rfs.Tree().KNNQuantFromStatsCtx(ctx, n, q, k, eng.cfg.RerankFactor, acc, st)
+	hits := make([]Hit, len(ns))
+	for i, nb := range ns {
+		hits[i] = Hit{ID: int(nb.ID), Dist: nb.Dist}
 	}
-	return eng.rfs.Tree().KNNFromStatsCtx(ctx, n, q, k, acc, st)
-}
-
-// localKNNBatch answers several coalesced subqueries over the same search node
-// with one multi-query batch search in the configured scan mode. Per query it
-// is bit-identical to localKNN; weighted queries never reach here.
-func localKNNBatch(ctx context.Context, eng *Engine, n *rstar.Node, qs []vec.Vector, ks []int, accs []disk.Accounter, sts []*rstar.SearchStats) ([][]rstar.Neighbor, error) {
-	if eng.cfg.Float32 {
-		return eng.rfs.Tree().KNNF32BatchFromStatsCtx(ctx, n, qs, ks, accs, sts)
-	}
-	if eng.cfg.Quantized {
-		return eng.rfs.Tree().KNNQuantBatchFromStatsCtx(ctx, n, qs, ks, eng.cfg.RerankFactor, accs, sts)
-	}
-	return eng.rfs.Tree().KNNBatchFromStatsCtx(ctx, n, qs, ks, accs, sts)
+	return hits, nil
 }

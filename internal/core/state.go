@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"qdcbir/internal/disk"
 	"qdcbir/internal/rstar"
@@ -16,7 +15,7 @@ const SessionStateVersion = 1
 // panel (relevant images in marking order and each one's assigned subcluster,
 // by node page ID), display bookkeeping, optional feature weights, and the
 // accumulated cost counters. It captures everything Finalize's result depends
-// on — finalizeGroups reads only (relevant order, assignments, weights) — so
+// on — the final round reads only (relevant order, assignments, weights) — so
 // a session exported here and restored anywhere (the same process, another
 // replica of the same corpus, or a router planning a distributed finalize)
 // finalizes bit-identically to the original.
@@ -50,38 +49,11 @@ type SessionState struct {
 // ExportState snapshots the session for transport. The session remains
 // usable; the snapshot shares nothing with it.
 func (s *Session) ExportState() *SessionState {
-	st := &SessionState{
-		Version:    SessionStateVersion,
-		Relevant:   append([]int(nil), idsToInts(s.relevant)...),
-		Rounds:     s.stats.Rounds,
-		Expansions: s.stats.Expansions,
-		Finalized:  s.finalized,
-	}
+	st := s.panel.ExportState(func(n *rstar.Node) uint64 { return uint64(n.ID()) })
 	full := s.Stats()
+	st.Expansions = full.Expansions
 	st.FeedbackReads = full.FeedbackReads
 	st.FinalReads = full.FinalReads
-	if len(s.assign) > 0 {
-		st.Assign = make(map[int]uint64, len(s.assign))
-		for id, n := range s.assign {
-			st.Assign[int(id)] = uint64(n.ID())
-		}
-	}
-	if len(s.displayed) > 0 {
-		st.Displayed = make(map[int]uint64, len(s.displayed))
-		for id, n := range s.displayed {
-			st.Displayed[int(id)] = uint64(n.ID())
-		}
-	}
-	if len(s.everShown) > 0 {
-		st.EverShown = make([]int, 0, len(s.everShown))
-		for id := range s.everShown {
-			st.EverShown = append(st.EverShown, int(id))
-		}
-		sort.Ints(st.EverShown)
-	}
-	if s.weights != nil {
-		st.Weights = append([]float64(nil), s.weights...)
-	}
 	return st
 }
 
@@ -91,73 +63,25 @@ func (s *Session) ExportState() *SessionState {
 // engine's structure, so the state must come from a replica of the same
 // build — unknown images or node IDs are rejected.
 func (e *Engine) RestoreSession(st *SessionState, rng *rand.Rand) (*Session, error) {
-	if st == nil {
-		return nil, fmt.Errorf("core: nil session state")
+	if st != nil {
+		for _, id := range st.Relevant {
+			if id < 0 || id >= e.rfs.Len() {
+				return nil, fmt.Errorf("core: session state image %d outside corpus of %d", id, e.rfs.Len())
+			}
+		}
 	}
-	if st.Version != SessionStateVersion {
-		return nil, fmt.Errorf("core: session state version %d unsupported (want %d)", st.Version, SessionStateVersion)
+	io := disk.NewLRUCache(1 << 16)
+	p, err := RestorePanel[*rstar.Node](rfsTree{e.rfs, io}, rng, e.dim(), st, func(id uint64) (*rstar.Node, bool) {
+		n := e.rfs.NodeByID(disk.PageID(id))
+		return n, n != nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	s := &Session{
-		eng:        e,
-		rng:        rng,
-		relSet:     make(map[rstar.ItemID]bool),
-		everShown:  make(map[rstar.ItemID]bool),
-		feedbackIO: disk.NewLRUCache(1 << 16),
-		finalIO:    disk.NewLRUCache(1 << 16),
-		finalized:  st.Finalized,
-	}
-	s.stats.Rounds = st.Rounds
-	s.stats.Expansions = st.Expansions
+	s := e.newSession(io, p)
+	s.expansions = st.Expansions
 	s.baseFeedbackReads = st.FeedbackReads
 	s.baseFinalReads = st.FinalReads
-	n := e.rfs.Len()
-	for _, id := range st.Relevant {
-		if id < 0 || id >= n {
-			return nil, fmt.Errorf("core: session state image %d outside corpus of %d", id, n)
-		}
-		iid := rstar.ItemID(id)
-		if s.relSet[iid] {
-			return nil, fmt.Errorf("core: session state repeats relevant image %d", id)
-		}
-		s.relSet[iid] = true
-		s.relevant = append(s.relevant, iid)
-	}
-	if len(st.Assign) > 0 {
-		s.assign = make(map[rstar.ItemID]*rstar.Node, len(st.Assign))
-		for id, nodeID := range st.Assign {
-			if !s.relSet[rstar.ItemID(id)] {
-				return nil, fmt.Errorf("core: session state assigns unmarked image %d", id)
-			}
-			node := e.rfs.NodeByID(disk.PageID(nodeID))
-			if node == nil {
-				return nil, fmt.Errorf("core: session state image %d assigned to unknown node %d", id, nodeID)
-			}
-			s.assign[rstar.ItemID(id)] = node
-		}
-	}
-	if len(st.Displayed) > 0 {
-		s.displayed = make(map[rstar.ItemID]*rstar.Node, len(st.Displayed))
-		for id, nodeID := range st.Displayed {
-			node := e.rfs.NodeByID(disk.PageID(nodeID))
-			if node == nil {
-				return nil, fmt.Errorf("core: session state displays image %d from unknown node %d", id, nodeID)
-			}
-			s.displayed[rstar.ItemID(id)] = node
-		}
-	}
-	for _, id := range st.EverShown {
-		s.everShown[rstar.ItemID(id)] = true
-	}
-	if st.Weights != nil {
-		if err := s.SetFeatureWeights(st.Weights); err != nil {
-			return nil, err
-		}
-	}
-	s.rebuildFrontier()
-	if o := e.cfg.Observer; o != nil {
-		o.SessionStarted()
-		s.trace = o.StartTrace("session")
-	}
 	return s, nil
 }
 
@@ -165,6 +89,14 @@ func idsToInts(ids []rstar.ItemID) []int {
 	out := make([]int, len(ids))
 	for i, id := range ids {
 		out[i] = int(id)
+	}
+	return out
+}
+
+func intsToIDs(ids []int) []rstar.ItemID {
+	out := make([]rstar.ItemID, len(ids))
+	for i, id := range ids {
+		out[i] = rstar.ItemID(id)
 	}
 	return out
 }

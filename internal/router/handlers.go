@@ -319,17 +319,9 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "", "router: no example images given")
 		return
 	}
-	if req.Weights != nil {
-		if len(req.Weights) != rt.meta.Dim {
-			writeErr(w, http.StatusBadRequest, "", "router: weight dim %d != corpus dim %d", len(req.Weights), rt.meta.Dim)
-			return
-		}
-		for i, wt := range req.Weights {
-			if wt < 0 {
-				writeErr(w, http.StatusBadRequest, "", "router: negative weight at dim %d", i)
-				return
-			}
-		}
+	if err := core.CheckWeights(req.Weights, rt.meta.Dim); err != nil {
+		writeErr(w, http.StatusBadRequest, "", "%v", err)
+		return
 	}
 	var ids []int
 	seen := make(map[int]bool, len(req.Relevant))

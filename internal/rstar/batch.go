@@ -1,24 +1,19 @@
 package rstar
 
-// This file answers M k-NN searches over the SAME subtree in one call, with
-// the leaf work routed through the multi-query kernels (vec.*Multi): when
-// several of the M descents want the same leaf's rows, the block is loaded
-// once and scored for all of them. The batch paths exist purely for
-// throughput — every query's OWN operation sequence (queue pushes and pops,
-// accounter accesses, effort counters, tie resolution) is exactly the
-// single-query path's, and the multi kernels are bit-identical per query to
-// the single-query kernels, so each returned result list, each SearchStats
-// delta, and each Accounter trace is bit-for-bit what the corresponding
-// single-query call would have produced. Callers therefore batch or not
-// purely on load, never on semantics.
+// This file answers M k-NN searches over the SAME subtree in one call. The
+// batch paths exist purely for throughput — every query's OWN operation
+// sequence (accounter accesses, effort counters, tie resolution) is exactly
+// the single-query path's, and the multi-query kernels (vec.*Multi) are
+// bit-identical per query to the single-query kernels, so each returned
+// result list, each SearchStats delta, and each Accounter trace is
+// bit-for-bit what the corresponding single-query call would have produced.
+// Callers therefore batch or not purely on load, never on semantics.
 //
 // Shapes per scan mode:
 //
-//   - Exact f64 (KNNBatchFromStatsCtx): M independent best-first descents run
-//     as coroutines in lockstep. Each advances through its private priority
-//     queue exactly as KNNFromStatsCtx does and SUSPENDS when it pops a leaf
-//     with a packed block; the driver then groups co-resident suspensions by
-//     leaf and dispatches one multi-kernel call per group.
+//   - Exact f64 (KNNBatchFromStatsCtx): M independent best-first descents,
+//     one after another. Descents running in lockstep to share co-resident
+//     leaf loads measured slower than serial: same-leaf visits are rare.
 //   - f32 (KNNF32BatchFromStatsCtx): the subtree is one contiguous mirror
 //     range shared by every query, so all M queries ride each chunk of the
 //     single linear sweep through vec.SquaredDistsToMulti32, feeding M
@@ -53,197 +48,20 @@ func stAt(sts []*SearchStats, j int) *SearchStats {
 	return nil
 }
 
-// batchQuery is one query's private descent state inside
-// KNNBatchFromStatsCtx. It mirrors KNNFromStatsCtx's locals exactly; pending
-// marks a popped leaf whose block scoring is deferred to a coalesced
-// multi-kernel dispatch.
-type batchQuery struct {
-	q       vec.Vector
-	k       int
-	acc     disk.Accounter
-	pq      searchPQ
-	results []Neighbor
-	ties    []Neighbor
-	kthSq   float64
-	steps   int
-	pops    uint64
-	nodes   uint64
-	items   uint64
-	pending *Node // leaf popped but not yet scored; nil while running
-	done    bool
-	started bool
-}
-
-// advance runs one query's best-first loop until it completes, or until it
-// pops a block-backed leaf — at which point the leaf is recorded in pending
-// (access and effort already charged, exactly where the single-query path
-// charges them) and control returns to the driver for coalesced scoring.
-// Every operation and its order matches KNNFromStatsCtx line for line.
-func (t *Tree) advance(ctx context.Context, s *batchQuery) error {
-	for len(s.pq) > 0 {
-		if s.steps%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		e := s.pq.pop()
-		s.steps++
-		s.pops++
-		if len(s.results) == s.k && e.distSq > s.kthSq {
-			s.done = true
-			return nil
-		}
-		if e.node == nil {
-			if len(s.results) < s.k {
-				s.results = append(s.results, Neighbor{
-					ID: e.item.ID, Point: e.item.Point, Dist: math.Sqrt(e.distSq),
-				})
-				if len(s.results) == s.k {
-					s.kthSq = e.distSq
-				}
-			} else if e.distSq == s.kthSq {
-				s.ties = append(s.ties, Neighbor{
-					ID: e.item.ID, Point: e.item.Point, Dist: math.Sqrt(e.distSq),
-				})
-			}
-			continue
-		}
-		s.acc.Access(e.node.id)
-		s.nodes++
-		if e.node.leaf {
-			s.items += uint64(len(e.node.items))
-			if t.blocksOK && e.node.block != nil {
-				s.pending = e.node
-				return nil
-			}
-			for _, it := range e.node.items {
-				s.pq.push(pqEntry{distSq: vec.SqL2(s.q, it.Point), item: it})
-			}
-			continue
-		}
-		for _, c := range e.node.children {
-			s.pq.push(pqEntry{distSq: c.rect.MinDistSq(s.q), node: c})
-		}
-	}
-	s.done = true
-	return nil
-}
-
 // KNNBatchFromStatsCtx answers len(qs) exact k-NN searches restricted to the
-// subtree rooted at n, coalescing co-resident leaf sweeps into multi-query
-// kernel dispatches. out[j], accs[j]'s trace, and sts[j]'s deltas are
-// bit-identical to KNNFromStatsCtx(ctx, n, qs[j], ks[j], accs[j], sts[j]).
-// accs and sts may be nil (or hold nil entries) to disable accounting for
-// all or individual queries; ks[j] <= 0 yields a nil result for query j.
+// subtree rooted at n, one independent KNNFromStatsCtx call per query:
+// out[j], accs[j]'s trace, and sts[j]'s deltas are exactly that call's. accs
+// and sts may be nil (or hold nil entries) to disable accounting for all or
+// individual queries; ks[j] <= 0 yields a nil result for query j. It is the
+// exact fallback of the f32 and SQ8 batches.
 func (t *Tree) KNNBatchFromStatsCtx(ctx context.Context, n *Node, qs []vec.Vector, ks []int, accs []disk.Accounter, sts []*SearchStats) ([][]Neighbor, error) {
 	out := make([][]Neighbor, len(qs))
-	if n == nil || n.Len() == 0 || len(qs) == 0 {
-		return out, ctx.Err()
-	}
-	states := make([]batchQuery, len(qs))
-	running := 0
 	for j, q := range qs {
-		if ks[j] <= 0 {
-			continue
+		ns, err := t.KNNFromStatsCtx(ctx, n, q, ks[j], accAt(accs, j), stAt(sts, j))
+		if err != nil {
+			return nil, err
 		}
-		s := &states[j]
-		s.q, s.k, s.acc = q, ks[j], accAt(accs, j)
-		s.kthSq = math.Inf(1)
-		s.pq = append(s.pq, pqEntry{distSq: n.rect.MinDistSq(q), node: n})
-		s.results = make([]Neighbor, 0, s.k)
-		s.started = true
-		running++
-	}
-	dim := t.dim
-	var suspended []int
-	var qbuf []float64
-	var obuf []float64
-	for running > 0 {
-		suspended = suspended[:0]
-		for j := range states {
-			s := &states[j]
-			if !s.started || s.done {
-				continue
-			}
-			if s.pending == nil {
-				if err := t.advance(ctx, s); err != nil {
-					return nil, err
-				}
-			}
-			if s.done {
-				running--
-				continue
-			}
-			if s.pending != nil {
-				suspended = append(suspended, j)
-			}
-		}
-		if len(suspended) == 0 {
-			continue // some queries just completed; loop re-checks running
-		}
-		// Group co-resident suspensions by leaf and score each group with one
-		// pass over the leaf's block.
-		for len(suspended) > 0 {
-			leaf := states[suspended[0]].pending
-			var group []int
-			for _, j := range suspended {
-				if states[j].pending == leaf {
-					group = append(group, j)
-				}
-			}
-			rows := len(leaf.items)
-			if len(group) == 1 {
-				// Lone visitor: the plain batch kernel, exactly the
-				// single-query path.
-				s := &states[group[0]]
-				if cap(obuf) < rows {
-					obuf = make([]float64, rows)
-				}
-				d := obuf[:rows]
-				vec.SquaredDistsTo(s.q, leaf.block, d)
-				for i, it := range leaf.items {
-					s.pq.push(pqEntry{distSq: d[i], item: it})
-				}
-				s.pending = nil
-			} else {
-				g := len(group)
-				if cap(qbuf) < g*dim {
-					qbuf = make([]float64, g*dim)
-				}
-				for gi, j := range group {
-					copy(qbuf[gi*dim:(gi+1)*dim], states[j].q)
-				}
-				if cap(obuf) < g*rows {
-					obuf = make([]float64, g*rows)
-				}
-				vec.SquaredDistsToMulti(qbuf[:g*dim], g, leaf.block, obuf[:g*rows])
-				for gi, j := range group {
-					s := &states[j]
-					col := obuf[gi*rows : (gi+1)*rows]
-					for i, it := range leaf.items {
-						s.pq.push(pqEntry{distSq: col[i], item: it})
-					}
-					s.pending = nil
-				}
-			}
-			// Compact the remaining suspensions (preserving order) and
-			// continue with the next distinct leaf.
-			rest := suspended[:0]
-			for _, j := range suspended {
-				if states[j].pending != nil {
-					rest = append(rest, j)
-				}
-			}
-			suspended = rest
-		}
-	}
-	for j := range states {
-		s := &states[j]
-		if !s.started {
-			continue
-		}
-		out[j] = resolveBoundaryTies(s.results, s.ties, s.k)
-		stAt(sts, j).accumulate(s.pops, s.nodes, s.items)
+		out[j] = ns
 	}
 	return out, ctx.Err()
 }

@@ -10,7 +10,6 @@ import (
 
 	"qdcbir/internal/core"
 	"qdcbir/internal/kmeans"
-	"qdcbir/internal/par"
 	"qdcbir/internal/vec"
 )
 
@@ -50,10 +49,10 @@ func (r *Result) IDs() []int {
 // (§3.3/§3.4) against the snapshot using QUERY-SIDE decomposition: the
 // example vectors themselves are clustered (k-means, deterministic seed
 // from the DB config) into ceil(sqrt(n)) groups, and each group's centroid
-// subquery runs corpus-wide over the snapshot. The per-group allocation,
-// the alloc+k over-request, the serial first-claim merge, the top-up loop,
-// and the stable rank-score ordering are transcribed from the monolithic
-// finalize (core.ProportionalAlloc is literally shared).
+// subquery runs corpus-wide over the snapshot through the shared final
+// round (core.Final): proportional allocation, the alloc+k over-request,
+// the serial first-claim merge, the top-up loop, and the stable rank-score
+// ordering.
 //
 // Unlike the tree-anchored monolithic finalize, this decomposition never
 // references tree nodes — so its output is invariant to how the corpus is
@@ -66,8 +65,8 @@ func (s *Snapshot) QueryByExamplesCtx(ctx context.Context, examples []int, k int
 	if k <= 0 {
 		return nil, fmt.Errorf("seg: invalid k=%d", k)
 	}
-	if weights != nil && len(weights) != s.db.cfg.Dim {
-		return nil, fmt.Errorf("seg: weights dim %d, want %d", len(weights), s.db.cfg.Dim)
+	if err := core.CheckWeights(weights, s.db.cfg.Dim); err != nil {
+		return nil, err
 	}
 	// Dedup, resolve vectors, and sort ascending by global ID: the sorted
 	// order is the canonical clustering input order, invariant under
@@ -106,125 +105,50 @@ func (s *Snapshot) QueryByExamplesCtx(ctx context.Context, examples []int, k int
 	rng := rand.New(rand.NewSource(s.db.cfg.Seed + 5))
 	cl := kmeans.Cluster(pts, kGroups, kmeans.Config{}, rng)
 
-	type sub struct {
-		ids      []int // member global IDs, ascending
-		centroid vec.Vector
-	}
-	subs := make([]*sub, cl.K)
-	for c := 0; c < cl.K; c++ {
-		subs[c] = &sub{}
-	}
+	// One subquery per non-empty cluster (kmeans reseeds empty clusters, but
+	// stay robust), members ascending, keyed by the smallest member — the
+	// analogue of the monolithic node-ID tie-break.
+	members := make([][]int, cl.K)
 	for i, c := range cl.Assign {
-		subs[c].ids = append(subs[c].ids, ids[i])
+		members[c] = append(members[c], ids[i])
 	}
-	// Drop empty clusters defensively (kmeans reseeds, but stay robust),
-	// then order groups by (size desc, smallest member ID asc) — the
-	// analogue of the monolithic (count desc, node ID asc) order.
-	kept := subs[:0]
-	for _, g := range subs {
-		if len(g.ids) > 0 {
-			kept = append(kept, g)
+	var subs []core.Subquery
+	for _, m := range members {
+		if len(m) > 0 {
+			subs = append(subs, core.Subquery{Key: uint64(m[0]), Members: m})
 		}
 	}
-	subs = kept
-	for _, g := range subs {
-		qpts := make([]vec.Vector, len(g.ids))
-		for i, id := range g.ids {
-			v, _ := s.VectorOf(id)
-			qpts[i] = v
-		}
-		g.centroid = vec.Centroid(qpts)
-	}
-	sort.Slice(subs, func(i, j int) bool {
-		if len(subs[i].ids) != len(subs[j].ids) {
-			return len(subs[i].ids) > len(subs[j].ids)
-		}
-		return subs[i].ids[0] < subs[j].ids[0]
-	})
-	if len(subs) > k {
-		subs = subs[:k]
-	}
-
-	// Proportional allocation (§3.4). Every subquery is corpus-wide, so
-	// each group's capacity is the snapshot's live count.
-	counts := make([]int, len(subs))
+	subs = core.RankSubqueries(subs, k)
+	centroids := make([]vec.Vector, len(subs))
 	caps := make([]int, len(subs))
-	for i, g := range subs {
-		counts[i] = len(g.ids)
-		caps[i] = s.live
-	}
-	allocs := core.ProportionalAlloc(k, counts, caps)
-
-	// Scatter the subqueries at alloc+k, then merge serially in group order
-	// with first-claim dedup.
-	lists := make([][]Neighbor, len(subs))
-	err := par.Do(ctx, len(subs), s.db.cfg.Parallelism, func(i int) error {
-		ns, err := s.knn(ctx, subs[i].centroid, weights, allocs[i]+k)
-		if err != nil {
-			return err
+	for i, sq := range subs {
+		qpts := make([]vec.Vector, len(sq.Members))
+		for j, id := range sq.Members {
+			qpts[j], _ = s.VectorOf(id)
 		}
-		lists[i] = ns
-		return nil
-	})
+		centroids[i] = vec.Centroid(qpts)
+		caps[i] = s.live // every subquery is corpus-wide
+	}
+
+	groups, err := core.Final{
+		K:           k,
+		Parallelism: s.db.cfg.Parallelism,
+		Subs:        subs,
+		Caps:        caps,
+		Search: func(ctx context.Context, i, want int, _ bool) ([]Neighbor, error) {
+			return s.knn(ctx, centroids[i], weights, want)
+		},
+	}.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
-
-	seen := make(map[int]bool, k)
-	groups := make([]*Group, len(subs))
-	for i, g := range subs {
-		out := &Group{QueryIDs: g.ids}
-		for _, n := range lists[i] {
-			if len(out.Images) >= allocs[i] {
-				break
-			}
-			if seen[n.ID] {
-				continue
-			}
-			seen[n.ID] = true
-			out.Images = append(out.Images, ScoredImage{ID: n.ID, Score: n.Dist})
-			out.RankScore += n.Dist
-		}
-		groups[i] = out
-	}
-	for deficit := k - len(seen); deficit > 0; {
-		progressed := false
-		for i, g := range subs {
-			if deficit <= 0 {
-				break
-			}
-			out := groups[i]
-			if len(out.Images) >= caps[i] {
-				continue
-			}
-			want := len(out.Images) + deficit + len(seen)
-			more, err := s.knn(ctx, g.centroid, weights, want)
-			if err != nil {
-				return nil, err
-			}
-			for _, n := range more {
-				if deficit <= 0 {
-					break
-				}
-				if seen[n.ID] {
-					continue
-				}
-				seen[n.ID] = true
-				out.Images = append(out.Images, ScoredImage{ID: n.ID, Score: n.Dist})
-				out.RankScore += n.Dist
-				deficit--
-				progressed = true
-			}
-		}
-		if !progressed {
-			break // fewer than k live images exist
-		}
-	}
-
 	res := &Result{Groups: make([]Group, len(groups))}
-	for i, g := range groups {
-		res.Groups[i] = *g
+	for gi, g := range groups {
+		out := Group{QueryIDs: subs[g.Sub].Members, RankScore: g.RankScore}
+		for _, h := range g.Images {
+			out.Images = append(out.Images, ScoredImage{ID: h.ID, Score: h.Dist})
+		}
+		res.Groups[gi] = out
 	}
-	sort.SliceStable(res.Groups, func(i, j int) bool { return res.Groups[i].RankScore < res.Groups[j].RankScore })
 	return res, nil
 }

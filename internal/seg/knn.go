@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"qdcbir/internal/core"
 	"qdcbir/internal/par"
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/shard"
@@ -36,8 +37,8 @@ func (s *Snapshot) KNNCtx(ctx context.Context, q vec.Vector, k int) ([]Neighbor,
 // (relevance-feedback re-weighting). Weighted scans are always exact
 // float64 in every mode, as in the monolithic engine.
 func (s *Snapshot) KNNWeightedCtx(ctx context.Context, q, weights vec.Vector, k int) ([]Neighbor, error) {
-	if weights != nil && len(weights) != s.db.cfg.Dim {
-		return nil, fmt.Errorf("seg: weights dim %d, want %d", len(weights), s.db.cfg.Dim)
+	if err := core.CheckWeights(weights, s.db.cfg.Dim); err != nil {
+		return nil, err
 	}
 	return s.knn(ctx, q, weights, k)
 }

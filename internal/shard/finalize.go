@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"qdcbir/internal/core"
-	"qdcbir/internal/par"
 	"qdcbir/internal/vec"
 )
 
@@ -25,7 +23,7 @@ type Searcher interface {
 // its assigned subcluster (a leaf for stateless /v1/query-style calls; any
 // node for a resumed feedback session), and its feature vector. Callers must
 // pass points deduplicated and in marking order, and omit unassigned images —
-// the same preconditions core.finalizeGroups sees.
+// the same preconditions the single-node finalize sees.
 type RelPoint struct {
 	ID     int
 	NodeID uint64
@@ -69,162 +67,72 @@ func (r *Result) IDs() []int {
 }
 
 // FinalizeScatter runs the final localized multipoint k-NN round (§3.3/§3.4)
-// against a Searcher, transcribing core.finalizeGroups step for step —
-// grouping order, the (count desc, node ID asc) subquery order, floor-based
-// proportional allocation with round-robin leftovers, the alloc+k request
-// size, the serial first-claim merge, the top-up loop, and the stable
-// rank-score sort. Given a Searcher that honours its contract, the output is
-// bit-identical to the single-node finalize over the same inputs: every
-// arithmetic step either operates on identical float64 values in the same
-// order or is integer bookkeeping.
+// against a Searcher: the shared core.Final round with the subqueries
+// planned over the topology table — grouping by assigned node, §3.3 boundary
+// expansion, and search-area capacities from the full-corpus subtree sizes.
+// Given a Searcher that honours its contract, the output is bit-identical to
+// the single-node finalize over the same inputs: every arithmetic step either
+// operates on identical float64 values in the same order or is integer
+// bookkeeping.
 func FinalizeScatter(ctx context.Context, topo *Topology, s Searcher, rel []RelPoint, k int, weights []float64, boundary float64, parallelism int) (*Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("shard: invalid k=%d", k)
 	}
-	// Group the query panel by assigned subcluster, preserving marking order.
-	type local struct {
-		nodeIdx int
-		ids     []int
-		qpts    []vec.Vector
-	}
-	byNode := make(map[uint64]*local)
-	var order []uint64
 	for _, p := range rel {
-		idx, ok := topo.IdxOf(p.NodeID)
-		if !ok {
+		if _, ok := topo.IdxOf(p.NodeID); !ok {
 			return nil, fmt.Errorf("shard: relevant image %d assigned to unknown node %d", p.ID, p.NodeID)
 		}
-		l, ok2 := byNode[p.NodeID]
-		if !ok2 {
-			l = &local{nodeIdx: idx}
-			byNode[p.NodeID] = l
-			order = append(order, p.NodeID)
-		}
-		l.ids = append(l.ids, p.ID)
-		l.qpts = append(l.qpts, p.Vec)
 	}
-	if len(byNode) == 0 {
+	subs := core.RankSubqueries(core.GroupByKey(len(rel), func(i int) (uint64, bool) { return rel[i].NodeID, true }), k)
+	if len(subs) == 0 {
 		return nil, errors.New("shard: no relevant image lies under the current frontier")
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := byNode[order[i]], byNode[order[j]]
-		if len(a.ids) != len(b.ids) {
-			return len(a.ids) > len(b.ids)
-		}
-		return order[i] < order[j]
-	})
-	if len(order) > k {
-		order = order[:k]
 	}
 
 	// Resolve each subquery's search area (§3.3) and centroid.
 	type prepared struct {
-		l         *local
-		searchIdx int
-		centroid  vec.Vector
-		cap       int
+		searchID uint64
+		ids      []int
+		centroid vec.Vector
 	}
 	res := &Result{}
-	preps := make(map[uint64]*prepared, len(order))
-	for _, nodeID := range order {
-		l := byNode[nodeID]
-		searchIdx := topo.ExpandForQuery(l.nodeIdx, l.qpts, boundary)
-		if searchIdx != l.nodeIdx {
+	preps := make([]prepared, len(subs))
+	caps := make([]int, len(subs))
+	for i, sq := range subs {
+		p := &preps[i]
+		qpts := make([]vec.Vector, len(sq.Members))
+		for j, m := range sq.Members {
+			p.ids = append(p.ids, rel[m].ID)
+			qpts[j] = rel[m].Vec
+		}
+		idx, _ := topo.IdxOf(sq.Key)
+		searchIdx := topo.ExpandForQuery(idx, qpts, boundary)
+		if searchIdx != idx {
 			res.Expansions++
 		}
-		preps[nodeID] = &prepared{
-			l:         l,
-			searchIdx: searchIdx,
-			centroid:  vec.Centroid(l.qpts),
-			cap:       topo.Nodes[searchIdx].Size,
-		}
+		p.searchID = topo.Nodes[searchIdx].ID
+		p.centroid = vec.Centroid(qpts)
+		caps[i] = topo.Nodes[searchIdx].Size
 	}
 
-	// Proportional allocation (§3.4): the shared core arithmetic, so the
-	// scatter path allocates bit-identically to the single-node finalize.
-	counts := make([]int, len(order))
-	caps := make([]int, len(order))
-	for i, nodeID := range order {
-		counts[i] = len(byNode[nodeID].ids)
-		caps[i] = preps[nodeID].cap
-	}
-	allocs := core.ProportionalAlloc(k, counts, caps)
-	alloc := make(map[uint64]int, len(order))
-	for i, nodeID := range order {
-		alloc[nodeID] = allocs[i]
-	}
-
-	// Scatter the subqueries (each asks for alloc+k, a prefix-consistent
-	// over-request covering any overlap claimed by earlier groups), then merge
-	// serially in group order.
-	neighborLists := make([][]Neighbor, len(order))
-	err := par.Do(ctx, len(order), parallelism, func(i int) error {
-		p := preps[order[i]]
-		ns, err := s.SearchNode(ctx, topo.Nodes[p.searchIdx].ID, p.centroid, weights, alloc[order[i]]+k)
-		if err != nil {
-			return err
-		}
-		neighborLists[i] = ns
-		return nil
-	})
+	groups, err := core.Final{
+		K:           k,
+		Parallelism: parallelism,
+		Subs:        subs,
+		Caps:        caps,
+		Search: func(ctx context.Context, i, want int, _ bool) ([]Neighbor, error) {
+			return s.SearchNode(ctx, preps[i].searchID, preps[i].centroid, weights, want)
+		},
+	}.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
-
-	seen := make(map[int]bool, k)
-	groups := make(map[uint64]*Group, len(order))
-	for i, nodeID := range order {
-		p := preps[nodeID]
-		g := &Group{NodeID: nodeID, SearchNodeID: topo.Nodes[p.searchIdx].ID, QueryIDs: p.l.ids}
-		for _, n := range neighborLists[i] {
-			if len(g.Images) >= alloc[nodeID] {
-				break
-			}
-			if seen[n.ID] {
-				continue
-			}
-			seen[n.ID] = true
-			g.Images = append(g.Images, ScoredImage{ID: n.ID, Score: n.Dist})
-			g.RankScore += n.Dist
+	for _, g := range groups {
+		p := &preps[g.Sub]
+		out := Group{NodeID: subs[g.Sub].Key, SearchNodeID: p.searchID, QueryIDs: p.ids, RankScore: g.RankScore}
+		for _, h := range g.Images {
+			out.Images = append(out.Images, ScoredImage{ID: h.ID, Score: h.Dist})
 		}
-		groups[nodeID] = g
+		res.Groups = append(res.Groups, out)
 	}
-	for deficit := k - len(seen); deficit > 0; {
-		progressed := false
-		for _, nodeID := range order {
-			if deficit <= 0 {
-				break
-			}
-			p, g := preps[nodeID], groups[nodeID]
-			if len(g.Images) >= p.cap {
-				continue
-			}
-			want := len(g.Images) + deficit + len(seen)
-			more, err := s.SearchNode(ctx, topo.Nodes[p.searchIdx].ID, p.centroid, weights, want)
-			if err != nil {
-				return nil, err
-			}
-			for _, n := range more {
-				if deficit <= 0 {
-					break
-				}
-				if seen[n.ID] {
-					continue
-				}
-				seen[n.ID] = true
-				g.Images = append(g.Images, ScoredImage{ID: n.ID, Score: n.Dist})
-				g.RankScore += n.Dist
-				deficit--
-				progressed = true
-			}
-		}
-		if !progressed {
-			break // every search area exhausted; fewer than k images exist
-		}
-	}
-	for _, nodeID := range order {
-		res.Groups = append(res.Groups, *groups[nodeID])
-	}
-	sort.SliceStable(res.Groups, func(i, j int) bool { return res.Groups[i].RankScore < res.Groups[j].RankScore })
 	return res, nil
 }

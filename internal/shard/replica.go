@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"qdcbir/internal/core"
 	"qdcbir/internal/vec"
 )
 
@@ -13,11 +14,9 @@ import (
 // distance. Distances are exactly the values the single-node tree search
 // produces for the same (query, image) pair — float64 sqrt of the kernel's
 // squared distance, computed at the store's precision — so per-shard lists
-// merge into the single-node ranking without re-scoring.
-type Neighbor struct {
-	ID   int     `json:"id"`
-	Dist float64 `json:"dist"`
-}
+// merge into the single-node ranking without re-scoring, and feed the shared
+// final round (core.Final) as they are.
+type Neighbor = core.Hit
 
 // LocalRows supplies a shard's stored feature rows to NewReplica, decoupling
 // the replica from whatever loaded the archive. At must return the exact
@@ -193,8 +192,8 @@ func (r *Replica) SearchNode(ctx context.Context, nodeID uint64, q vec.Vector, w
 	if len(q) != r.dim {
 		return nil, fmt.Errorf("shard: query dim %d != corpus dim %d", len(q), r.dim)
 	}
-	if weights != nil && len(weights) != r.dim {
-		return nil, fmt.Errorf("shard: weight dim %d != corpus dim %d", len(weights), r.dim)
+	if err := core.CheckWeights(weights, r.dim); err != nil {
+		return nil, err
 	}
 	idx, ok := r.topo.IdxOf(nodeID)
 	if !ok {
