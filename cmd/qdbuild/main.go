@@ -23,11 +23,13 @@ import (
 	"encoding/gob"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
 
 	"qdcbir"
+	"qdcbir/internal/atomicfile"
 	"qdcbir/internal/dataset"
 	"qdcbir/internal/rfs"
 	"qdcbir/internal/rstar"
@@ -144,15 +146,7 @@ func main() {
 		fatal(err)
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(arch); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := atomicfile.WriteFile(*out, func(w io.Writer) error { return gob.NewEncoder(w).Encode(arch) }); err != nil {
 		fatal(err)
 	}
 	logWritten(log, *out)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"io"
 	"log/slog"
@@ -111,7 +112,11 @@ func TestBuildArchiveQuantized(t *testing.T) {
 	for _, id := range []int{0, 100, len(arch.Infos) - 1} {
 		q := structure.Point(rstar.ItemID(id))
 		exact := tree.KNN(q, 10, nil)
-		quant := tree.KNNQuant(q, 10, nil)
+		quantOut, err := tree.KNNSearch(context.Background(), tree.Root(), []rstar.Query{{Point: q, K: 10}}, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quant := quantOut[0]
 		if len(exact) != len(quant) {
 			t.Fatalf("result sizes differ: %d vs %d", len(exact), len(quant))
 		}

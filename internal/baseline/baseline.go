@@ -91,7 +91,7 @@ func scanTopK(st *store.FeatureStore, k int, q, w vec.Vector) []int {
 // scanTopKQuant is the SQ8 two-phase variant of the unweighted scanTopK: a
 // quantized sweep of the codes table retains rerankFactor*k candidate rows,
 // the exact float kernel re-ranks them, and the rerank guarantee (see
-// rstar.KNNQuantFromStatsCtx for the derivation) certifies the result equals
+// the file comment of rstar/quant.go for the derivation) certifies the result equals
 // scanTopK's before returning it. When the guarantee fails the candidate set
 // widens, degenerating to an exact rerank of every row; unclean quantizers
 // and NaN queries route straight to scanTopK. Ties in exact distance at the

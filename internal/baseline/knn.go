@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"context"
+
 	"qdcbir/internal/disk"
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/store"
@@ -151,9 +153,9 @@ func (t *TreeKNN) Name() string { return "TreeKNN" }
 
 // Search runs a weighted global k-NN through the index.
 func (t *TreeKNN) Search(k int) []int {
-	ns := t.tree.KNNWeighted(t.query, t.weights, k, t.acc)
-	out := make([]int, len(ns))
-	for i, n := range ns {
+	res, _ := t.tree.KNNSearch(context.Background(), t.tree.Root(), []rstar.Query{{Point: t.query, K: k, Acc: t.acc}}, t.weights, 0)
+	out := make([]int, len(res[0]))
+	for i, n := range res[0] {
 		out[i] = int(n.ID)
 	}
 	return out

@@ -50,10 +50,10 @@ type Config struct {
 	// no clock reads, no atomics, and no allocation. Results are identical
 	// either way.
 	Observer *obs.Observer
-	// Quantized routes unweighted localized k-NN searches through the SQ8
-	// two-phase scan (quantized sweep + exact rerank; see
-	// rstar.KNNQuantFromStatsCtx). Results are bit-identical to the exact
-	// path — the rerank guarantee falls back rather than approximate.
+	// Quantized enables the tree's SQ8 two-phase scan (quantized sweep +
+	// exact rerank; see rstar/quant.go), which then serves unweighted
+	// localized k-NN searches. Results are bit-identical to the exact path
+	// — the rerank guarantee falls back rather than approximate.
 	// NewEngine trains the tree's quantizer if none is installed yet.
 	// Weighted searches (§6 feature importance) always use the exact path.
 	Quantized bool
@@ -61,9 +61,9 @@ type Config struct {
 	// retains RerankFactor*k rows for exact reranking. <= 0 uses
 	// rstar.DefaultRerankFactor.
 	RerankFactor int
-	// Float32 routes unweighted localized k-NN searches through the float32
-	// sweep (rstar.KNNF32FromStatsCtx): half-width rows, double the SIMD
-	// lanes. Unlike Quantized this is a distinct PRECISION, not an
+	// Float32 enables the tree's float32 sweep (rstar/f32.go), which then
+	// serves unweighted localized k-NN searches: half-width rows, double the
+	// SIMD lanes. Unlike Quantized this is a distinct PRECISION, not an
 	// optimization of the float64 path — distances are computed in float32
 	// and may rank close neighbours differently — so it takes precedence
 	// over Quantized (withDefaults clears that flag) rather than compose
@@ -584,28 +584,16 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []int, assign map
 	return res, nil
 }
 
-// localKNN runs one localized subquery search in the configured scan mode,
+// localKNN runs one localized subquery search in the tree's scan mode,
 // honouring an optional feature-importance weighting. st, when non-nil,
 // accumulates the search's effort counters.
 func localKNN(ctx context.Context, eng *Engine, weights vec.Vector, acc disk.Accounter, n *rstar.Node, q vec.Vector, k int, st *rstar.SearchStats) ([]Hit, error) {
-	tree := eng.rfs.Tree()
-	var ns []rstar.Neighbor
-	var err error
-	switch {
-	case weights != nil:
-		ns, err = tree.KNNWeightedFromStatsCtx(ctx, n, q, weights, k, acc, st)
-	case eng.cfg.Float32:
-		ns, err = tree.KNNF32FromStatsCtx(ctx, n, q, k, acc, st)
-	case eng.cfg.Quantized:
-		ns, err = tree.KNNQuantFromStatsCtx(ctx, n, q, k, eng.cfg.RerankFactor, acc, st)
-	default:
-		ns, err = tree.KNNFromStatsCtx(ctx, n, q, k, acc, st)
-	}
+	out, err := eng.rfs.Tree().KNNSearch(ctx, n, []rstar.Query{{Point: q, K: k, Acc: acc, Stats: st}}, weights, eng.cfg.RerankFactor)
 	if err != nil {
 		return nil, err
 	}
-	hits := make([]Hit, len(ns))
-	for i, nb := range ns {
+	hits := make([]Hit, len(out[0]))
+	for i, nb := range out[0] {
 		hits[i] = Hit{ID: int(nb.ID), Dist: nb.Dist}
 	}
 	return hits, nil

@@ -351,7 +351,7 @@ func (s *Structure) AdoptQuantized(q *store.Quantized) error { return s.tree.Ado
 
 // EnableFloat32Scan activates the tree's float32 sweep path (see
 // rstar.SetFloat32Scoring): the leaf slab narrows to a float32 mirror once,
-// and unweighted searches routed through KNNF32* run at float32 precision.
+// and the tree's unweighted k-NN searches run at float32 precision.
 func (s *Structure) EnableFloat32Scan() { s.tree.SetFloat32Scoring(true) }
 
 // Root returns the hierarchy root.

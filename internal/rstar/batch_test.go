@@ -269,3 +269,63 @@ func TestKNNBatchCancellation(t *testing.T) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
 }
+
+// TestKNNBatchMismatchedKs: the parallel-slice batch entries reject a ks
+// slice whose length differs from qs instead of indexing past its end.
+func TestKNNBatchMismatchedKs(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	pts := randPoints(rng, 300, 8, 10)
+	tr := BulkLoad(8, smallCfg, bulkItems(pts), 8)
+	if err := tr.SetQuantizedScoring(true); err != nil {
+		t.Fatalf("enable quantized: %v", err)
+	}
+	ctx := context.Background()
+	qs := batchQueries(rng, pts, 4, 8, 10)
+	short := []int{5, 5, 5}
+	if _, err := tr.KNNBatchFromStatsCtx(ctx, tr.Root(), qs, short, nil, nil); err == nil {
+		t.Error("exact batch accepted 4 queries with 3 ks")
+	}
+	if _, err := tr.KNNF32BatchFromStatsCtx(ctx, tr.Root(), qs, short, nil, nil); err == nil {
+		t.Error("f32 batch accepted 4 queries with 3 ks")
+	}
+	if _, err := tr.KNNQuantBatchFromStatsCtx(ctx, tr.Root(), qs, short, 0, nil, nil); err == nil {
+		t.Error("sq8 batch accepted 4 queries with 3 ks")
+	}
+}
+
+// TestKNNSearchAllocs pins the steady-state allocations of one query through
+// KNNSearch: a batch of one must reuse the pooled scratch (selectors, chunk
+// buffers, query codes) and walk leaves without allocating, so it costs no
+// more than the single-query sweeps it replaced — 4 allocs/op for f32 with
+// a nil accounter and 5 for SQ8 with a fresh disk.Counter, at k = 10.
+func TestKNNSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items on purpose")
+	}
+	rng := rand.New(rand.NewSource(63))
+	ctx := context.Background()
+	f32pts := randPoints(rng, 1000, 512, 1)
+	f32 := BulkLoad(512, smallCfg, bulkItems(f32pts), 8)
+	f32.SetFloat32Scoring(true)
+	sq8pts := randPoints(rng, 2000, 37, 1)
+	sq8 := BulkLoad(37, smallCfg, bulkItems(sq8pts), 8)
+	if err := sq8.SetQuantizedScoring(true); err != nil {
+		t.Fatalf("enable quantized: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"f32", 4, func() {
+			f32.KNNSearch(ctx, f32.Root(), []Query{{Point: f32pts[3], K: 10}}, nil, 0)
+		}},
+		{"sq8", 5, func() {
+			sq8.KNNSearch(ctx, sq8.Root(), []Query{{Point: sq8pts[5], K: 10, Acc: &disk.Counter{}}}, nil, 0)
+		}},
+	} {
+		if got := testing.AllocsPerRun(100, tc.run); got > tc.max {
+			t.Errorf("%s: %v allocs/op, want <= %v", tc.name, got, tc.max)
+		}
+	}
+}

@@ -25,7 +25,11 @@ func runKNN(t *testing.T, tr *Tree, q vec.Vector, k int, weights vec.Vector) knn
 	var ns []Neighbor
 	var err error
 	if weights != nil {
-		ns, err = tr.KNNWeightedFromStatsCtx(context.Background(), tr.Root(), q, weights, k, acc, &st)
+		var out [][]Neighbor
+		out, err = tr.KNNSearch(context.Background(), tr.Root(), []Query{{Point: q, K: k, Acc: acc, Stats: &st}}, weights, 0)
+		if err == nil {
+			ns = out[0]
+		}
 	} else {
 		ns, err = tr.KNNFromStatsCtx(context.Background(), tr.Root(), q, k, acc, &st)
 	}

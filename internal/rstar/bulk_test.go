@@ -176,7 +176,7 @@ func TestIOAccountingDuringSearch(t *testing.T) {
 	// tree has — this is the efficiency claim behind §5.2.2.
 	var sub disk.Counter
 	leaf := tr.Root().Children()[0]
-	tr.KNNFrom(leaf, vec.Vector{0, 0, 0, 0}, 5, &sub)
+	searchOne(t, tr, leaf, vec.Vector{0, 0, 0, 0}, nil, 5, &sub)
 	if sub.Reads() >= uint64(tr.NodeCount())/2 {
 		t.Errorf("subtree search read %d of %d pages", sub.Reads(), tr.NodeCount())
 	}

@@ -87,20 +87,20 @@ func TestKNNCtxCancelled(t *testing.T) {
 	tr := BulkLoad(5, Config{MaxFill: 16}, items, 14)
 	q := items[0].Point
 
-	ns, err := tr.KNNCtx(context.Background(), q, 10, nil)
-	if err != nil || len(ns) != 10 {
-		t.Fatalf("live context: %d results, err=%v", len(ns), err)
+	out, err := tr.KNNSearch(context.Background(), tr.Root(), []Query{{Point: q, K: 10}}, nil, 0)
+	if err != nil || len(out[0]) != 10 {
+		t.Fatalf("live context: %v, err=%v", out, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tr.KNNCtx(ctx, q, 10, nil); !errors.Is(err, context.Canceled) {
+	if _, err := tr.KNNSearch(ctx, tr.Root(), []Query{{Point: q, K: 10}}, nil, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	w := make(vec.Vector, 5)
 	for i := range w {
 		w[i] = 1
 	}
-	if _, err := tr.KNNWeightedFromCtx(ctx, tr.Root(), q, w, 10, nil); !errors.Is(err, context.Canceled) {
+	if _, err := tr.KNNSearch(ctx, tr.Root(), []Query{{Point: q, K: 10}}, w, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("weighted err = %v, want context.Canceled", err)
 	}
 }

@@ -1,17 +1,19 @@
 package rstar
 
 // This file wires the SQ8 compressed representation (store.Quantized, the
-// int32 kernels in internal/vec) into the tree as a two-phase k-NN:
+// int32 kernels in internal/vec) into the tree as a two-phase k-NN, run by
+// sweepQuant for KNNSearch's M queries (a single query is a batch of one):
 //
 //  1. Scan. Because packBlocks lays leaves out in depth-first order, every
 //     subtree owns one contiguous slab row range [qlo, qhi). The quantized
 //     codes mirror the slab row-for-row, so a subtree-restricted search is a
-//     single linear sweep of uint8 code rows feeding a bounded
-//     vec.QuantTopK of size rerankFactor*k, with partial-distance early
-//     exit against its threshold.
-//  2. Rerank. The retained candidates are re-scored with the exact float
-//     kernels against their slab rows and sorted ascending (Dist, ItemID) —
-//     the same values and ordering the exact search produces.
+//     single linear sweep of uint8 code rows (scanCodes) feeding one bounded
+//     vec.QuantTopK of size rerankFactor*k per query. All M queries share the
+//     first sweep; a query whose certificate fails re-runs the same sweep
+//     alone with a wider selector.
+//  2. Rerank. Each query's retained candidates are re-scored with the exact
+//     float kernels against their slab rows and sorted ascending (Dist,
+//     ItemID) — the same values and ordering the exact search produces.
 //
 // Exactness guarantee. Let delta be the quantizer step, qErr the query's
 // measured decode error, dbErr = (delta/2)*sqrt(dim) the per-point bound, and
@@ -38,11 +40,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
-	"qdcbir/internal/disk"
 	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
@@ -89,8 +90,8 @@ func (t *Tree) setQuantRanges() {
 // blocks if needed and trains a quantizer over the tree's own slab (the slab
 // is a permutation of the indexed points, and min/max training is
 // order-independent, so the parameters are identical to training over the
-// points in any other order). Disabling drops the codes; KNNQuant* then
-// delegates to the exact search. Enabling an empty tree is a no-op. Like all
+// points in any other order). Disabling drops the codes; KNNSearch then
+// takes the tree's other paths. Enabling an empty tree is a no-op. Like all
 // mutations, the toggle requires external exclusion against readers.
 func (t *Tree) SetQuantizedScoring(enabled bool) error {
 	if !enabled {
@@ -171,207 +172,222 @@ func (t *Tree) dropRangesIfUnused() {
 }
 
 // quantScratch is the pooled working memory of one quantized search: the
-// encoded query, the candidate selector, and the rerank buffers.
+// packed encoded queries, their decode errors, the per-query selectors, the
+// chunk distance block, and the rerank buffers.
 type quantScratch struct {
+	act    []int // indexes into qs of the queries the code sweep serves
 	qcodes []uint8
-	sel    vec.QuantTopK
+	qerrs  []float64
+	sels   []vec.QuantTopK
+	dists  []int32
 	ids    []int
 	cands  []Neighbor
-	dists  []int32
 }
 
 var quantScratchPool = sync.Pool{New: func() interface{} { return new(quantScratch) }}
 
-func (sc *quantScratch) candBuf(n int) []Neighbor {
-	if cap(sc.cands) < n {
-		sc.cands = make([]Neighbor, n)
-	}
-	return sc.cands[:n]
-}
-
-func (sc *quantScratch) distBuf(n int) []int32 {
-	if cap(sc.dists) < n {
-		sc.dists = make([]int32, n)
-	}
-	return sc.dists[:n]
-}
-
-// KNNQuant returns the k nearest items to q using the two-phase quantized
-// scan over the whole tree. Results are identical to KNN (see the exactness
-// guarantee above); when quantized scoring is not active it simply delegates
-// to the exact search.
-func (t *Tree) KNNQuant(q vec.Vector, k int, acc disk.Accounter) []Neighbor {
-	ns, _ := t.KNNQuantFromStatsCtx(context.Background(), t.root, q, k, 0, acc, nil)
-	return ns
-}
-
-// KNNQuantFromStatsCtx runs the two-phase quantized k-NN restricted to the
-// subtree rooted at n: an SQ8 sweep of the subtree's code rows selects
-// rerankFactor*k candidates (rerankFactor <= 0 uses DefaultRerankFactor),
-// the exact float kernels re-rank them, and the candidate set widens until
-// the rerank guarantee certifies the result. Output is bit-identical to
-// KNNFromStatsCtx. Leaf pages in the scanned range are reported to acc once;
-// effort lands in st's CodesScanned/Reranked/RerankFallbacks counters, with
-// per-phase wall time in ScanNS/RerankNS when st.Timed is set. Searches over
-// trees without quantized scoring, unclean corpora, or NaN queries delegate
-// to the exact path.
-func (t *Tree) KNNQuantFromStatsCtx(ctx context.Context, n *Node, q vec.Vector, k, rerankFactor int, acc disk.Accounter, st *SearchStats) ([]Neighbor, error) {
-	if k <= 0 || n == nil || n.Len() == 0 {
-		return nil, ctx.Err()
-	}
-	if !t.quantOK || !t.quant.Clean() {
-		return t.KNNFromStatsCtx(ctx, n, q, k, acc, st)
-	}
+// sweepQuant runs the two-phase quantized k-NN of every query restricted to
+// the subtree rooted at n: one SQ8 sweep of the subtree's code rows selects
+// rerankFactor*k candidates per query (rerankFactor <= 0 uses
+// DefaultRerankFactor), the exact float kernels re-rank them, and a query's
+// candidate set widens until the rerank guarantee certifies its result.
+// Output is bit-identical to the exact descent. Each query's accounter is
+// charged every leaf page in the range once, retries included; effort lands
+// in its Stats' CodesScanned/Reranked/RerankFallbacks counters, with
+// per-phase wall time in ScanNS/RerankNS when Stats.Timed is set (a timed
+// query is charged the whole shared sweep). NaN queries take the exact
+// descent.
+func (t *Tree) sweepQuant(ctx context.Context, n *Node, qs []Query, rerankFactor int) ([][]Neighbor, error) {
 	if rerankFactor <= 0 {
 		rerankFactor = DefaultRerankFactor
 	}
-	if acc == nil {
-		acc = disk.Nop{}
-	}
+	out := make([][]Neighbor, len(qs))
 	sc := quantScratchPool.Get().(*quantScratch)
 	defer quantScratchPool.Put(sc)
-	var qErr float64
-	sc.qcodes, qErr = t.quant.EncodeQuery(q, sc.qcodes)
-	if math.IsNaN(qErr) {
-		if st != nil {
-			st.RerankFallbacks++
-		}
-		return t.KNNFromStatsCtx(ctx, n, q, k, acc, st)
-	}
-
 	lo, hi := n.qlo, n.qhi
-	rows := hi - lo
-	if k > rows {
-		k = rows
-	}
-	// The sweep reads every leaf's code rows (and the rerank its slab rows),
-	// so each leaf page in the range is charged exactly once, retries
-	// included — re-reads hit memory the first pass already paid for.
-	var nodes uint64
-	var chargeLeaves func(nd *Node)
-	chargeLeaves = func(nd *Node) {
-		if nd.leaf {
-			acc.Access(nd.id)
-			nodes++
-			return
-		}
-		for _, c := range nd.children {
-			chargeLeaves(c)
-		}
-	}
-	chargeLeaves(n)
+	rows, dim := hi-lo, t.dim
 
-	timed := st != nil && st.Timed
-	dim := t.dim
-	codes := t.qcodes
-	m := k * rerankFactor
-	if m > rows || m < k { // m < k: multiplication overflow
-		m = rows
-	}
-	var fellBack bool
-	var codesScanned, reranked uint64
-	var scanNS, rerankNS int64
-	var results []Neighbor
-	for {
-		// Phase 1: quantized sweep of the subtree's code rows.
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
+	// Encode every query with k > 0; a NaN decode error defeats the rerank
+	// bound, so that query takes the exact descent up front.
+	sc.act, sc.qerrs = sc.act[:0], sc.qerrs[:0]
+	sc.qcodes = resize(sc.qcodes, len(qs)*dim)
+	for j, q := range qs {
+		if q.K <= 0 {
+			continue
 		}
-		sel := &sc.sel
-		sel.Reset(m)
-		if vec.HasAcceleratedUint8Batch() {
-			// Chunked batch sweep: score a block of rows with the SIMD batch
-			// kernel, then filter against the selector threshold. Capped and
-			// full distances admit the same rows (the capped contract), so the
-			// retained set and final threshold are identical to the per-row
-			// path below.
-			for base := lo; base < hi; base += quantCtxInterval {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				end := base + quantCtxInterval
-				if end > hi {
-					end = hi
-				}
-				dists := sc.distBuf(end - base)
-				vec.Uint8SquaredDistsTo(sc.qcodes, codes[base*dim:end*dim], dists)
-				thr := sel.Threshold()
-				for i, d := range dists {
-					if d < thr {
-						sel.Add(d, base+i)
-						thr = sel.Threshold()
-					}
+		a := len(sc.act)
+		_, qErr := t.quant.EncodeQuery(q.Point, sc.qcodes[a*dim:(a+1)*dim:(a+1)*dim])
+		if math.IsNaN(qErr) {
+			if q.Stats != nil {
+				q.Stats.RerankFallbacks++
+			}
+			ns, err := t.descend(ctx, n, q.Point, nil, q.K, q.Acc, q.Stats)
+			if err != nil {
+				return nil, err
+			}
+			out[j] = ns
+			continue
+		}
+		sc.act = append(sc.act, j)
+		sc.qerrs = append(sc.qerrs, qErr)
+	}
+	ma := len(sc.act)
+	if ma == 0 {
+		return out, ctx.Err()
+	}
+
+	// Phase 1, shared by every encoded query.
+	sc.sels = resize(sc.sels, ma)
+	anyTimed := false
+	for a, j := range sc.act {
+		sc.sels[a].Reset(candidates(qs[j].K, rerankFactor, rows))
+		anyTimed = anyTimed || (qs[j].Stats != nil && qs[j].Stats.Timed)
+	}
+	var t0 time.Time
+	if anyTimed {
+		t0 = time.Now()
+	}
+	if err := t.scanCodes(ctx, lo, hi, sc.qcodes[:ma*dim], sc.sels, &sc.dists); err != nil {
+		return nil, err
+	}
+	var sharedScanNS int64
+	if anyTimed {
+		sharedScanNS = time.Since(t0).Nanoseconds()
+	}
+
+	// Phase 2 per query, widening until certified.
+	for a, j := range sc.act {
+		q := qs[j]
+		k := min(q.K, rows)
+		m := candidates(q.K, rerankFactor, rows)
+		sel := &sc.sels[a]
+		timed := q.Stats != nil && q.Stats.Timed
+		var fellBack bool
+		codesScanned := uint64(rows)
+		var reranked uint64
+		scanNS, rerankNS := sharedScanNS, int64(0)
+		var results []Neighbor
+		for {
+			threshold := sel.Threshold()
+			if timed {
+				t0 = time.Now()
+			}
+			// SqL2 over a slab row computes the identical value the exact
+			// search's batch kernel produces for that item, and (Dist, ID)
+			// ordering matches stabilize, so the certified output is
+			// bit-for-bit the exact search's.
+			sc.ids = sel.AppendIDs(sc.ids[:0])
+			cands := resize(sc.cands, len(sc.ids))
+			sc.cands = cands
+			for i, r := range sc.ids {
+				rowF := t.slab[r*dim : r*dim+dim : r*dim+dim]
+				cands[i] = Neighbor{ID: t.qids[r], Point: rowF, Dist: math.Sqrt(vec.SqL2(q.Point, rowF))}
+			}
+			reranked += uint64(len(cands))
+			slices.SortFunc(cands, compareNeighbors)
+			cands = cands[:min(len(cands), k)]
+			if timed {
+				rerankNS += time.Since(t0).Nanoseconds()
+			}
+			if m >= rows {
+				// Every row in range was reranked exactly; nothing was excluded.
+				results = cands
+				break
+			}
+			dk := cands[len(cands)-1].Dist
+			lower := t.quant.DecodedDist(threshold) - sc.qerrs[a] - t.quant.DBErr()
+			if dk*(1+quantSafety) < lower*(1-quantSafety) {
+				results = cands
+				break
+			}
+			fellBack = true
+			if m > rows/2 {
+				m = rows
+			} else {
+				m *= 2
+			}
+			if timed {
+				t0 = time.Now()
+			}
+			sel.Reset(m)
+			if err := t.scanCodes(ctx, lo, hi, sc.qcodes[a*dim:(a+1)*dim], sc.sels[a:a+1], &sc.dists); err != nil {
+				return nil, err
+			}
+			codesScanned += uint64(rows)
+			if timed {
+				scanNS += time.Since(t0).Nanoseconds()
+			}
+		}
+		out[j] = slices.Clone(results)
+		if q.Acc != nil || q.Stats != nil {
+			nodes := chargeLeaves(n, q.Acc)
+			if st := q.Stats; st != nil {
+				st.NodesRead += nodes
+				st.ItemsScored += reranked
+				st.CodesScanned += codesScanned
+				st.Reranked += reranked
+				st.ScanNS += scanNS
+				st.RerankNS += rerankNS
+				if fellBack {
+					st.RerankFallbacks++
 				}
 			}
-		} else {
-			for r := lo; r < hi; r++ {
-				if (r-lo)%quantCtxInterval == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				row := codes[r*dim : r*dim+dim : r*dim+dim]
-				d := vec.Uint8SquaredDistCapped(sc.qcodes, row, sel.Threshold())
-				sel.Add(d, r)
-			}
-		}
-		codesScanned += uint64(rows)
-		threshold := sel.Threshold()
-		if timed {
-			scanNS += time.Since(t0).Nanoseconds()
-			t0 = time.Now()
-		}
-
-		// Phase 2: exact rerank. SqL2 over a slab row computes the identical
-		// value the exact search's batch kernel produces for that item, and
-		// (Dist, ID) ordering matches stabilize, so the certified output is
-		// bit-for-bit the exact search's.
-		sc.ids = sel.AppendIDs(sc.ids[:0])
-		cands := sc.candBuf(len(sc.ids))
-		for i, r := range sc.ids {
-			rowF := t.slab[r*dim : r*dim+dim : r*dim+dim]
-			cands[i] = Neighbor{ID: t.qids[r], Point: rowF, Dist: math.Sqrt(vec.SqL2(q, rowF))}
-		}
-		reranked += uint64(len(cands))
-		sort.Slice(cands, func(i, j int) bool { return neighborLess(cands[i], cands[j]) })
-		if len(cands) > k {
-			cands = cands[:k]
-		}
-		if timed {
-			rerankNS += time.Since(t0).Nanoseconds()
-		}
-
-		if m >= rows {
-			// Every row in range was reranked exactly; nothing was excluded.
-			results = cands
-			break
-		}
-		dk := cands[len(cands)-1].Dist
-		lower := t.quant.DecodedDist(threshold) - qErr - t.quant.DBErr()
-		if dk*(1+quantSafety) < lower*(1-quantSafety) {
-			results = cands
-			break
-		}
-		fellBack = true
-		if m > rows/2 {
-			m = rows
-		} else {
-			m *= 2
-		}
-	}
-	out := make([]Neighbor, len(results))
-	copy(out, results)
-	if st != nil {
-		st.NodesRead += nodes
-		st.ItemsScored += reranked
-		st.CodesScanned += codesScanned
-		st.Reranked += reranked
-		st.ScanNS += scanNS
-		st.RerankNS += rerankNS
-		if fellBack {
-			st.RerankFallbacks++
 		}
 	}
 	return out, nil
+}
+
+// candidates is the phase-1 selector size of a k-NN over rows rows:
+// k*rerankFactor, clamped to the range (m < k catches multiplication
+// overflow).
+func candidates(k, rerankFactor, rows int) int {
+	k = min(k, rows)
+	m := k * rerankFactor
+	if m > rows || m < k {
+		m = rows
+	}
+	return m
+}
+
+// scanCodes is the SQ8 phase 1: one sweep of code rows [lo, hi) scoring every
+// query packed in qcodes and offering each row to that query's selector in
+// sels. Where the platform accelerates the uint8 batch kernel, chunks are
+// scored in full by the multi-query kernel and filtered against each
+// threshold; elsewhere each row takes the per-row capped kernel, whose
+// partial-distance exit is the cheaper portable loop. Capped and full
+// distances admit the same rows (the capped contract), so the retained sets
+// and thresholds are identical on every platform.
+func (t *Tree) scanCodes(ctx context.Context, lo, hi int, qcodes []uint8, sels []vec.QuantTopK, buf *[]int32) error {
+	dim, m, codes := t.dim, len(sels), t.qcodes
+	accel := vec.HasAcceleratedUint8Batch()
+	for base := lo; base < hi; base += quantCtxInterval {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		end := min(base+quantCtxInterval, hi)
+		if !accel {
+			for r := base; r < end; r++ {
+				row := codes[r*dim : r*dim+dim : r*dim+dim]
+				for a := range sels {
+					sel := &sels[a]
+					sel.Add(vec.Uint8SquaredDistCapped(qcodes[a*dim:(a+1)*dim], row, sel.Threshold()), r)
+				}
+			}
+			continue
+		}
+		cr := end - base
+		*buf = resize(*buf, m*cr)
+		vec.Uint8SquaredDistsToMulti(qcodes, m, codes[base*dim:end*dim], *buf)
+		for a := range sels {
+			sel := &sels[a]
+			thr := sel.Threshold()
+			for i, d := range (*buf)[a*cr : (a+1)*cr] {
+				if d < thr {
+					sel.Add(d, base+i)
+					thr = sel.Threshold()
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -97,7 +97,7 @@ func TestKNNQuantDelegatesWhenInactive(t *testing.T) {
 	}
 	q := randPoints(rng, 1, 4, 1)[0]
 	exact := tr.KNN(q, 7, nil)
-	quant := tr.KNNQuant(q, 7, nil)
+	quant := searchOne(t, tr, tr.Root(), q, nil, 7, nil)
 	for i := range exact {
 		if quant[i].ID != exact[i].ID || quant[i].Dist != exact[i].Dist {
 			t.Fatalf("result %d diverges without quantized scoring", i)
@@ -191,7 +191,7 @@ func TestQuantInvalidationOnMutation(t *testing.T) {
 	}
 	q := vec.Vector{0.5, 0.5, 0.5}
 	exact := tr.KNN(q, 6, nil)
-	quant := tr.KNNQuant(q, 6, nil)
+	quant := searchOne(t, tr, tr.Root(), q, nil, 6, nil)
 	for i := range exact {
 		if quant[i].ID != exact[i].ID {
 			t.Fatalf("post-Insert result %d diverges", i)
@@ -236,8 +236,8 @@ func TestAdoptQuantizedMatchesRetrained(t *testing.T) {
 	}
 	for qi := 0; qi < 10; qi++ {
 		q := randPoints(rng, 1, 6, 5)[0]
-		a := trained.KNNQuant(q, 9, &disk.Counter{})
-		b := adopted.KNNQuant(q, 9, &disk.Counter{})
+		a := searchOne(t, trained, trained.Root(), q, nil, 9, &disk.Counter{})
+		b := searchOne(t, adopted, adopted.Root(), q, nil, 9, &disk.Counter{})
 		if len(a) != len(b) {
 			t.Fatalf("q%d: sizes diverge", qi)
 		}

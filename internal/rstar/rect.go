@@ -169,6 +169,25 @@ func (r Rect) MinDistSq(p vec.Vector) float64 {
 	return s
 }
 
+// minDistSqW is MinDistSq under a diagonal weighting, sum(w[i]*d[i]*d[i]);
+// nil w is the plain MinDistSq.
+func (r Rect) minDistSqW(p, w vec.Vector) float64 {
+	if w == nil {
+		return r.MinDistSq(p)
+	}
+	var s float64
+	for i := range p {
+		var d float64
+		if p[i] < r.Min[i] {
+			d = r.Min[i] - p[i]
+		} else if p[i] > r.Max[i] {
+			d = p[i] - r.Max[i]
+		}
+		s += w[i] * d * d
+	}
+	return s
+}
+
 // centerDistSq returns the squared distance between the centers of r and o;
 // used by forced reinsertion to order entries.
 func (r Rect) centerDistSq(o Rect) float64 {

@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"sync"
@@ -33,10 +34,10 @@ type SearchStats struct {
 	NodesRead   uint64 // tree nodes expanded (== accounter accesses)
 	ItemsScored uint64 // exact item distances computed
 
-	// Quantized-scan effort (KNNQuantFromStatsCtx only; zero on exact
+	// Quantized-scan effort (SQ8 trees only; zero on exact and float32
 	// searches). A fallback is one search whose candidate set failed the
 	// rerank guarantee at the requested factor and had to widen (or, for a
-	// NaN query, delegate to the exact path outright).
+	// NaN query, took the exact descent outright).
 	CodesScanned    uint64 // SQ8 code distances computed
 	Reranked        uint64 // candidates re-scored with the exact kernels
 	RerankFallbacks uint64 // searches that widened past rerankFactor*k
@@ -116,7 +117,7 @@ func (p *searchPQ) pop() pqEntry {
 }
 
 // searchScratch holds the per-search working memory — the priority queue and
-// the batch-kernel output buffer — pooled across searches so a steady-state
+// the leaf-kernel output buffer — pooled across searches so a steady-state
 // query allocates nothing inside the hot loop (the returned results slice is
 // the one allocation per search).
 type searchScratch struct {
@@ -126,45 +127,40 @@ type searchScratch struct {
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(searchScratch) }}
 
-// leafDists returns the buffer for one leaf's batch distances.
-func (sc *searchScratch) leafDists(n int) []float64 {
-	if cap(sc.dists) < n {
-		sc.dists = make([]float64, n)
+// resize returns buf with length n, reallocating only when its capacity is
+// short; the pooled scratch buffers of every search path grow through it.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return sc.dists[:n]
+	return buf[:n]
 }
 
-// KNN returns the k nearest items to q in the whole tree, ordered by
-// ascending distance (ties broken by ItemID for determinism). Every node
-// visited is reported to acc. A nil acc disables accounting.
+// KNN returns the k nearest items to q in the whole tree by the exact
+// float64 best-first descent, ordered by ascending distance (ties broken by
+// ItemID for determinism). Every node visited is reported to acc. A nil acc
+// disables accounting.
 func (t *Tree) KNN(q vec.Vector, k int, acc disk.Accounter) []Neighbor {
-	return t.KNNFrom(t.root, q, k, acc)
-}
-
-// KNNCtx is KNN with cooperative cancellation: when ctx is done the search
-// stops and ctx.Err() is returned.
-func (t *Tree) KNNCtx(ctx context.Context, q vec.Vector, k int, acc disk.Accounter) ([]Neighbor, error) {
-	return t.KNNFromCtx(ctx, t.root, q, k, acc)
-}
-
-// KNNFrom restricts the k-NN search to the subtree rooted at n. The query
-// decomposition engine uses this for the localized multipoint k-NN
-// computations of §3.3: each final subquery searches only its own subcluster
-// (or, after boundary expansion, an ancestor's subtree).
-func (t *Tree) KNNFrom(n *Node, q vec.Vector, k int, acc disk.Accounter) []Neighbor {
-	ns, _ := t.KNNFromCtx(context.Background(), n, q, k, acc)
+	ns, _ := t.descend(context.Background(), t.root, q, nil, k, acc, nil)
 	return ns
 }
 
-// KNNFromCtx is KNNFrom with cooperative cancellation.
-func (t *Tree) KNNFromCtx(ctx context.Context, n *Node, q vec.Vector, k int, acc disk.Accounter) ([]Neighbor, error) {
-	return t.KNNFromStatsCtx(ctx, n, q, k, acc, nil)
+// KNNFromStatsCtx is the exact float64 best-first descent restricted to the
+// subtree rooted at n, whatever scan mode the tree has. It stays for the
+// benchmark's per-layer replay, which times the descent by name; everything
+// else searches through KNNSearch.
+func (t *Tree) KNNFromStatsCtx(ctx context.Context, n *Node, q vec.Vector, k int, acc disk.Accounter, st *SearchStats) ([]Neighbor, error) {
+	return t.descend(ctx, n, q, nil, k, acc, st)
 }
 
-// KNNFromStatsCtx is KNNFromCtx with optional effort accounting: on
-// successful completion the search's queue pops, node expansions, and item
-// scorings are folded into st (nil st skips accumulation).
-func (t *Tree) KNNFromStatsCtx(ctx context.Context, n *Node, q vec.Vector, k int, acc disk.Accounter, st *SearchStats) ([]Neighbor, error) {
+// descend is the exact best-first k-NN descent over the subtree rooted at n,
+// under the plain Euclidean metric or, with non-nil weights, a diagonal-
+// weighted one (the Query Point Movement baseline and the paper's §6
+// feature-importance extension). Weighted pruning uses the weighted MINDIST,
+// still a valid lower bound for non-negative weights. Every node expanded is
+// reported to acc; on successful completion the queue pops, node expansions
+// and item scorings are folded into st (nil skips accumulation).
+func (t *Tree) descend(ctx context.Context, n *Node, q, weights vec.Vector, k int, acc disk.Accounter, st *SearchStats) ([]Neighbor, error) {
 	if k <= 0 || n == nil || n.Len() == 0 {
 		return nil, ctx.Err()
 	}
@@ -174,7 +170,7 @@ func (t *Tree) KNNFromStatsCtx(ctx context.Context, n *Node, q vec.Vector, k int
 	sc := scratchPool.Get().(*searchScratch)
 	defer scratchPool.Put(sc)
 	var pops, nodes, items uint64
-	sc.pq = append(sc.pq[:0], pqEntry{distSq: n.rect.MinDistSq(q), node: n})
+	sc.pq = append(sc.pq[:0], pqEntry{distSq: n.rect.minDistSqW(q, weights), node: n})
 	results := make([]Neighbor, 0, k)
 	var ties []Neighbor
 	kthSq := math.Inf(1)
@@ -214,125 +210,34 @@ func (t *Tree) KNNFromStatsCtx(ctx context.Context, n *Node, q vec.Vector, k int
 			items += uint64(len(e.node.items))
 			if t.blocksOK && e.node.block != nil {
 				// One batch kernel call scores the whole leaf off its
-				// contiguous block; the kernel preserves the scalar
+				// contiguous block; the kernels preserve the scalar
 				// accumulation order, so each distSq is bit-identical to the
-				// per-item SqL2 below.
-				d := sc.leafDists(len(e.node.items))
-				vec.SquaredDistsTo(q, e.node.block, d)
+				// per-item SqL2/WeightedSqL2 below.
+				d := resize(sc.dists, len(e.node.items))
+				sc.dists = d
+				if weights == nil {
+					vec.SquaredDistsTo(q, e.node.block, d)
+				} else {
+					vec.WeightedSquaredDistsTo(q, weights, e.node.block, d)
+				}
 				for i, it := range e.node.items {
 					sc.pq.push(pqEntry{distSq: d[i], item: it})
 				}
 			} else {
 				for _, it := range e.node.items {
-					sc.pq.push(pqEntry{distSq: vec.SqL2(q, it.Point), item: it})
+					var d float64
+					if weights == nil {
+						d = vec.SqL2(q, it.Point)
+					} else {
+						d = vec.WeightedSqL2(q, it.Point, weights)
+					}
+					sc.pq.push(pqEntry{distSq: d, item: it})
 				}
 			}
 			continue
 		}
 		for _, c := range e.node.children {
-			sc.pq.push(pqEntry{distSq: c.rect.MinDistSq(q), node: c})
-		}
-	}
-	results = resolveBoundaryTies(results, ties, k)
-	st.accumulate(pops, nodes, items)
-	return results, nil
-}
-
-// KNNWeighted is KNN under a diagonal-weighted Euclidean metric (the Query
-// Point Movement baseline re-weights dimensions each round). Pruning uses a
-// weighted MINDIST bound, which remains a valid lower bound for non-negative
-// weights.
-func (t *Tree) KNNWeighted(q, weights vec.Vector, k int, acc disk.Accounter) []Neighbor {
-	return t.KNNWeightedFrom(t.root, q, weights, k, acc)
-}
-
-// KNNWeightedFrom restricts a weighted k-NN search to the subtree rooted at
-// n. The query decomposition engine uses this when the user assigns
-// importance weights to feature families (the paper's §6 extension).
-func (t *Tree) KNNWeightedFrom(n *Node, q, weights vec.Vector, k int, acc disk.Accounter) []Neighbor {
-	ns, _ := t.KNNWeightedFromCtx(context.Background(), n, q, weights, k, acc)
-	return ns
-}
-
-// KNNWeightedFromCtx is KNNWeightedFrom with cooperative cancellation.
-func (t *Tree) KNNWeightedFromCtx(ctx context.Context, n *Node, q, weights vec.Vector, k int, acc disk.Accounter) ([]Neighbor, error) {
-	return t.KNNWeightedFromStatsCtx(ctx, n, q, weights, k, acc, nil)
-}
-
-// KNNWeightedFromStatsCtx is KNNWeightedFromCtx with optional effort
-// accounting, as in KNNFromStatsCtx.
-func (t *Tree) KNNWeightedFromStatsCtx(ctx context.Context, n *Node, q, weights vec.Vector, k int, acc disk.Accounter, st *SearchStats) ([]Neighbor, error) {
-	if k <= 0 || n == nil || n.Len() == 0 {
-		return nil, ctx.Err()
-	}
-	if acc == nil {
-		acc = disk.Nop{}
-	}
-	minDistSqW := func(r Rect) float64 {
-		var s float64
-		for i := range q {
-			var d float64
-			if q[i] < r.Min[i] {
-				d = r.Min[i] - q[i]
-			} else if q[i] > r.Max[i] {
-				d = q[i] - r.Max[i]
-			}
-			s += weights[i] * d * d
-		}
-		return s
-	}
-	sc := scratchPool.Get().(*searchScratch)
-	defer scratchPool.Put(sc)
-	var pops, nodes, items uint64
-	sc.pq = append(sc.pq[:0], pqEntry{distSq: minDistSqW(n.rect), node: n})
-	results := make([]Neighbor, 0, k)
-	var ties []Neighbor
-	kthSq := math.Inf(1)
-	for steps := 0; len(sc.pq) > 0; steps++ {
-		if steps%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		e := sc.pq.pop()
-		pops++
-		if len(results) == k && e.distSq > kthSq {
-			break
-		}
-		if e.node == nil {
-			if len(results) < k {
-				results = append(results, Neighbor{
-					ID: e.item.ID, Point: e.item.Point, Dist: math.Sqrt(e.distSq),
-				})
-				if len(results) == k {
-					kthSq = e.distSq
-				}
-			} else if e.distSq == kthSq {
-				ties = append(ties, Neighbor{
-					ID: e.item.ID, Point: e.item.Point, Dist: math.Sqrt(e.distSq),
-				})
-			}
-			continue
-		}
-		acc.Access(e.node.id)
-		nodes++
-		if e.node.leaf {
-			items += uint64(len(e.node.items))
-			if t.blocksOK && e.node.block != nil {
-				d := sc.leafDists(len(e.node.items))
-				vec.WeightedSquaredDistsTo(q, weights, e.node.block, d)
-				for i, it := range e.node.items {
-					sc.pq.push(pqEntry{distSq: d[i], item: it})
-				}
-			} else {
-				for _, it := range e.node.items {
-					sc.pq.push(pqEntry{distSq: vec.WeightedSqL2(q, it.Point, weights), item: it})
-				}
-			}
-			continue
-		}
-		for _, c := range e.node.children {
-			sc.pq.push(pqEntry{distSq: minDistSqW(c.rect), node: c})
+			sc.pq.push(pqEntry{distSq: c.rect.minDistSqW(q, weights), node: c})
 		}
 	}
 	results = resolveBoundaryTies(results, ties, k)
@@ -378,6 +283,14 @@ func neighborLess(a, b Neighbor) bool {
 		return a.Dist < b.Dist
 	}
 	return a.ID < b.ID
+}
+
+// compareNeighbors is neighborLess as a slices.SortFunc comparison.
+func compareNeighbors(a, b Neighbor) int {
+	if a.Dist != b.Dist {
+		return cmp.Compare(a.Dist, b.Dist)
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // Search returns all items whose points fall inside r, in no particular

@@ -1,16 +1,28 @@
 package rstar
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"qdcbir/internal/disk"
 	"qdcbir/internal/vec"
 )
 
 // smallCfg keeps nodes tiny so tests exercise splits and reinsertion with few
 // points.
 var smallCfg = Config{MaxFill: 8, MinFill: 3}
+
+// searchOne runs one query through KNNSearch over the subtree rooted at n.
+func searchOne(t *testing.T, tr *Tree, n *Node, q, weights vec.Vector, k int, acc disk.Accounter) []Neighbor {
+	t.Helper()
+	out, err := tr.KNNSearch(context.Background(), n, []Query{{Point: q, K: k, Acc: acc}}, weights, 0)
+	if err != nil {
+		t.Fatalf("KNNSearch: %v", err)
+	}
+	return out[0]
+}
 
 func randPoints(rng *rand.Rand, n, dim int, scale float64) []vec.Vector {
 	pts := make([]vec.Vector, n)
@@ -192,7 +204,7 @@ func TestKNNFromSubtree(t *testing.T) {
 	}
 	// Query near the origin but search only the far subtree: every result
 	// must come from the far blob.
-	got := tr.KNNFrom(far, vec.Vector{0, 0}, 5, nil)
+	got := searchOne(t, tr, far, vec.Vector{0, 0}, nil, 5, nil)
 	if len(got) == 0 {
 		t.Fatal("no results from subtree")
 	}
@@ -210,7 +222,7 @@ func TestKNNWeightedMatchesLinear(t *testing.T) {
 	w := vec.Vector{4, 0.25, 1, 2}
 	for trial := 0; trial < 10; trial++ {
 		q := randPoints(rng, 1, 4, 8)[0]
-		got := tr.KNNWeighted(q, w, 10, nil)
+		got := searchOne(t, tr, tr.Root(), q, w, 10, nil)
 		// Linear reference under the weighted metric.
 		ds := make([]float64, len(pts))
 		for i, p := range pts {

@@ -79,23 +79,12 @@ func (s *Snapshot) searchSegment(ctx context.Context, sv segView, q, weights vec
 		kk = sv.seg.len()
 	}
 	tree := sv.seg.rfs.Tree()
-	var ns []rstar.Neighbor
-	var err error
-	switch {
-	case weights != nil:
-		ns, err = tree.KNNWeightedFromStatsCtx(ctx, tree.Root(), q, weights, kk, nil, nil)
-	case s.db.cfg.Float32:
-		ns, err = tree.KNNF32FromStatsCtx(ctx, tree.Root(), q, kk, nil, nil)
-	case s.db.cfg.Quantized && sv.seg.quantized:
-		ns, err = tree.KNNQuantFromStatsCtx(ctx, tree.Root(), q, kk, s.db.cfg.RerankFactor, nil, nil)
-	default:
-		ns, err = tree.KNNFromStatsCtx(ctx, tree.Root(), q, kk, nil, nil)
-	}
+	res, err := tree.KNNSearch(ctx, tree.Root(), []rstar.Query{{Point: q, K: kk}}, weights, s.db.cfg.RerankFactor)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Neighbor, 0, len(ns))
-	for _, n := range ns {
+	out := make([]Neighbor, 0, len(res[0]))
+	for _, n := range res[0] {
 		if sv.tomb.Get(int(n.ID)) {
 			continue
 		}

@@ -193,9 +193,10 @@ type legResult struct {
 
 // searchShard answers one shard-search leg, coalescing it with concurrent
 // legs for the same node when a window is configured. Weighted searches have
-// no multi-query kernel and always run alone. Per leg the answer is
-// bit-identical to rep.SearchNode — batches delegate to SearchNodeBatch,
-// whose per-query results are pinned to the single-query path.
+// no multi-query kernel and always run alone through rep.SearchNode. Every
+// coalesced batch, a leg that waited out the window alone included, runs
+// through rep.SearchNodeBatch, whose per-query answer does not depend on the
+// batch around it.
 func (s *scheduler) searchShard(ctx context.Context, rep *shard.Replica, nodeID uint64, q vec.Vector, weights []float64, k int) ([]shard.Neighbor, error) {
 	if s == nil || s.cfg.Window <= 0 || weights != nil || k <= 0 {
 		return rep.SearchNode(ctx, nodeID, q, weights, k)
@@ -258,15 +259,10 @@ func (s *scheduler) searchShard(ctx context.Context, rep *shard.Replica, nodeID 
 	}
 
 	s.coalesceWidth.Observe(float64(len(b.qs)))
-	if len(b.qs) == 1 {
-		// A lone leg takes the plain single-query path.
-		ns, err := rep.SearchNode(ctx, nodeID, b.qs[0], nil, b.ks[0])
-		b.ns, b.err = [][]shard.Neighbor{ns}, err
-		close(b.done)
-		return ns, err
+	if len(b.qs) >= 2 {
+		s.batchesTotal.Inc()
+		s.batchedQueries.Add(uint64(len(b.qs)))
 	}
-	s.batchesTotal.Inc()
-	s.batchedQueries.Add(uint64(len(b.qs)))
 	b.ns, b.err = rep.SearchNodeBatch(ctx, nodeID, b.qs, b.ks)
 	close(b.done)
 	if b.err != nil {

@@ -183,9 +183,17 @@ func (r *Replica) Labeler() func(id int) string {
 // single-node subtree rooted at nodeID. The result is ascending by
 // (distance, global ID) — the same total order the single-node search's
 // stabilized output uses — with distances computed by the same batch kernels
-// at the same precision. A non-nil weights vector selects the weighted
-// float64 path, exactly as core.localKNN does.
+// at the same precision. Unweighted, it is a SearchNodeBatch of one; a
+// non-nil weights vector selects the weighted float64 sweep, exactly as the
+// tree's k-NN does (there is no weighted multi-query kernel).
 func (r *Replica) SearchNode(ctx context.Context, nodeID uint64, q vec.Vector, weights []float64, k int) ([]Neighbor, error) {
+	if weights == nil {
+		out, err := r.SearchNodeBatch(ctx, nodeID, []vec.Vector{q}, []int{k})
+		if err != nil {
+			return nil, err
+		}
+		return out[0], nil
+	}
 	if k <= 0 {
 		return nil, fmt.Errorf("shard: invalid k=%d", k)
 	}
@@ -204,77 +212,32 @@ func (r *Replica) SearchNode(ctx context.Context, nodeID uint64, q vec.Vector, w
 		return nil, nil
 	}
 	sel := newTopSelect(k)
-	const chunk = 1024
-	switch {
-	case weights != nil:
-		scratch := make([]float64, chunk)
-		for base := lo; base < hi; base += chunk {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			end := base + chunk
-			if end > hi {
-				end = hi
-			}
-			out := scratch[:end-base]
-			vec.WeightedSquaredDistsTo(q, vec.Vector(weights), r.slab[base*r.dim:end*r.dim], out)
-			for i, d := range out {
-				sel.add(d, r.slabGID[base+i])
-			}
+	scratch := make([]float64, searchChunk)
+	for base := lo; base < hi; base += searchChunk {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-	case r.f32:
-		q32 := vec.Narrow32(q, nil)
-		scratch := make([]float32, chunk)
-		for base := lo; base < hi; base += chunk {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			end := base + chunk
-			if end > hi {
-				end = hi
-			}
-			out := scratch[:end-base]
-			vec.SquaredDistsTo32(q32, r.slab32[base*r.dim:end*r.dim], out)
-			for i, d := range out {
-				// Widening float32 to float64 is exact and order-preserving,
-				// so one float64 selector serves both precisions; the final
-				// Dist is math.Sqrt(float64(d32)) — the f32 path's formula.
-				sel.add(float64(d), r.slabGID[base+i])
-			}
-		}
-	default:
-		scratch := make([]float64, chunk)
-		for base := lo; base < hi; base += chunk {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			end := base + chunk
-			if end > hi {
-				end = hi
-			}
-			out := scratch[:end-base]
-			vec.SquaredDistsTo(q, r.slab[base*r.dim:end*r.dim], out)
-			for i, d := range out {
-				sel.add(d, r.slabGID[base+i])
-			}
+		out := scratch[:min(base+searchChunk, hi)-base]
+		vec.WeightedSquaredDistsTo(q, vec.Vector(weights), r.slab[base*r.dim:(base+len(out))*r.dim], out)
+		for i, d := range out {
+			sel.add(d, r.slabGID[base+i])
 		}
 	}
-	cands := sel.sorted()
-	ns := make([]Neighbor, len(cands))
-	for i, c := range cands {
-		ns[i] = Neighbor{ID: c.gid, Dist: math.Sqrt(c.d)}
-	}
-	return ns, nil
+	return sel.neighbors(), nil
 }
+
+// searchChunk is how many slab rows a sweep scores between context polls.
+const searchChunk = 1024
 
 // SearchNodeBatch answers several k-NN searches restricted to the SAME
 // single-node subtree in one pass over the shard's rows: each slab chunk is
-// loaded once and scored against every query by the multi-query kernels, with
-// one independent bounded selector per query. Per query the result is
-// bit-identical to SearchNode — same kernels, same admission order, same
-// (distance, global ID) total order — so coalescing concurrent sweeps changes
-// throughput, never answers. Weighted searches have no multi kernel and must
-// stay on SearchNode.
+// loaded once and scored against every query by the multi-query kernels
+// (which run the single-query kernel for a batch of one), with one
+// independent bounded selector per query. Per query the result is the same
+// whatever the batch around it — same kernels, same admission order, same
+// (distance, global ID) total order — so coalescing concurrent sweeps
+// changes throughput, never answers. A query whose node holds no local rows
+// gets a nil result.
 func (r *Replica) SearchNodeBatch(ctx context.Context, nodeID uint64, qs []vec.Vector, ks []int) ([][]Neighbor, error) {
 	if len(qs) != len(ks) {
 		return nil, fmt.Errorf("shard: %d queries but %d ks", len(qs), len(ks))
@@ -296,67 +259,55 @@ func (r *Replica) SearchNodeBatch(ctx context.Context, nodeID uint64, qs []vec.V
 	out := make([][]Neighbor, len(qs))
 	lo, hi := r.ranges[idx][0], r.ranges[idx][1]
 	m := len(qs)
-	if lo != hi && m > 0 {
-		const chunk = 1024
-		if r.f32 {
-			qbuf := make([]float32, m*r.dim)
-			for j, q := range qs {
-				vec.Narrow32(q, qbuf[j*r.dim:(j+1)*r.dim:(j+1)*r.dim])
-			}
-			scratch := make([]float32, m*chunk)
-			for base := lo; base < hi; base += chunk {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				end := base + chunk
-				if end > hi {
-					end = hi
-				}
-				rows := end - base
-				db := scratch[:m*rows]
-				vec.SquaredDistsToMulti32(qbuf, m, r.slab32[base*r.dim:end*r.dim], db)
-				for j := 0; j < m; j++ {
-					col := db[j*rows : (j+1)*rows]
-					for i, d := range col {
-						sels[j].add(float64(d), r.slabGID[base+i])
-					}
-				}
-			}
-		} else {
-			qbuf := make([]float64, m*r.dim)
-			for j, q := range qs {
-				copy(qbuf[j*r.dim:(j+1)*r.dim], q)
-			}
-			scratch := make([]float64, m*chunk)
-			for base := lo; base < hi; base += chunk {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				end := base + chunk
-				if end > hi {
-					end = hi
-				}
-				rows := end - base
-				db := scratch[:m*rows]
-				vec.SquaredDistsToMulti(qbuf, m, r.slab[base*r.dim:end*r.dim], db)
-				for j := 0; j < m; j++ {
-					col := db[j*rows : (j+1)*rows]
-					for i, d := range col {
-						sels[j].add(d, r.slabGID[base+i])
-					}
-				}
-			}
+	if lo == hi || m == 0 {
+		return out, nil
+	}
+	var err error
+	if r.f32 {
+		qbuf := make([]float32, m*r.dim)
+		for j, q := range qs {
+			vec.Narrow32(q, qbuf[j*r.dim:(j+1)*r.dim:(j+1)*r.dim])
 		}
+		err = sweepRows(ctx, r, lo, hi, qbuf, r.slab32, sels, vec.SquaredDistsToMulti32)
+	} else {
+		qbuf := make([]float64, m*r.dim)
+		for j, q := range qs {
+			copy(qbuf[j*r.dim:(j+1)*r.dim], q)
+		}
+		err = sweepRows(ctx, r, lo, hi, qbuf, r.slab, sels, vec.SquaredDistsToMulti)
+	}
+	if err != nil {
+		return nil, err
 	}
 	for j := range sels {
-		cands := sels[j].sorted()
-		ns := make([]Neighbor, len(cands))
-		for i, c := range cands {
-			ns[i] = Neighbor{ID: c.gid, Dist: math.Sqrt(c.d)}
-		}
-		out[j] = ns
+		out[j] = sels[j].neighbors()
 	}
 	return out, nil
+}
+
+// sweepRows is the unweighted sweep at either precision: slab rows [lo, hi)
+// are scored chunk by chunk against the len(sels) queries packed in qbuf by
+// the multi-query kernel, and every distance is offered to its query's
+// selector. Widening float32 to float64 is exact and order-preserving, so
+// one float64 selector serves both precisions; the final Dist is
+// math.Sqrt(float64(d32)) — the f32 path's formula.
+func sweepRows[T float32 | float64](ctx context.Context, r *Replica, lo, hi int, qbuf, slab []T, sels []*topSelect, multi func(qs []T, m int, block, out []T)) error {
+	m := len(sels)
+	scratch := make([]T, m*searchChunk)
+	for base := lo; base < hi; base += searchChunk {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		rows := min(base+searchChunk, hi) - base
+		db := scratch[:m*rows]
+		multi(qbuf, m, slab[base*r.dim:(base+rows)*r.dim], db)
+		for j, sel := range sels {
+			for i, d := range db[j*rows : (j+1)*rows] {
+				sel.add(float64(d), r.slabGID[base+i])
+			}
+		}
+	}
+	return nil
 }
 
 // MergeNeighbors merges per-shard restricted-search results into the global
@@ -442,8 +393,14 @@ func (s *topSelect) add(d float64, gid int) {
 	}
 }
 
-func (s *topSelect) sorted() []cand {
-	out := append([]cand(nil), s.h...)
-	sort.Slice(out, func(i, j int) bool { return worse(out[j], out[i]) })
-	return out
+// neighbors returns the selected candidates ascending by (distance, global
+// ID).
+func (s *topSelect) neighbors() []Neighbor {
+	cands := append([]cand(nil), s.h...)
+	sort.Slice(cands, func(i, j int) bool { return worse(cands[j], cands[i]) })
+	ns := make([]Neighbor, len(cands))
+	for i, c := range cands {
+		ns[i] = Neighbor{ID: c.gid, Dist: math.Sqrt(c.d)}
+	}
+	return ns
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"qdcbir/internal/atomicfile"
 )
 
 // Meta identifies a shard archive and the fleet it belongs to. A router
@@ -66,15 +68,7 @@ func (a *Archive) Write(w io.Writer) error {
 
 // WriteFile persists the archive to a file.
 func (a *Archive) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := a.Write(f); err != nil {
-		return err
-	}
-	return f.Close()
+	return atomicfile.WriteFile(path, a.Write)
 }
 
 // ReadArchive decodes a shard archive stream.

@@ -35,7 +35,7 @@ import (
 // ||q - decode(codes(q))|| is measured directly (EncodeQuery). The triangle
 // inequality then bounds how far a code distance can sit from the true
 // distance, which is what lets the two-phase k-NN prove its candidate set
-// already contains the exact top-k (see rstar.KNNQuantFromStatsCtx). Corpora
+// already contains the exact top-k (see rstar/quant.go). Corpora
 // containing NaN or ±Inf components set clean=false and DBErr=+Inf: every
 // search over them falls back to the exact path rather than trust the bound.
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 
+	"qdcbir/internal/atomicfile"
 	"qdcbir/internal/dataset"
 	"qdcbir/internal/feature"
 	"qdcbir/internal/img"
@@ -201,15 +202,7 @@ func (s *System) Save(w io.Writer) error {
 
 // SaveFile persists the system to a file.
 func (s *System) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := s.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
+	return atomicfile.WriteFile(path, s.Save)
 }
 
 // Load reconstructs a system persisted by Save. Every archive version this

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 
+	"qdcbir/internal/atomicfile"
 	"qdcbir/internal/obs"
 	"qdcbir/internal/rfs"
 	"qdcbir/internal/seg"
@@ -111,15 +112,7 @@ func (d *Dynamic) Save(w io.Writer) error {
 
 // SaveFile persists the dynamic system to a file.
 func (d *Dynamic) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := d.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
+	return atomicfile.WriteFile(path, d.Save)
 }
 
 // LoadDynamic reconstructs a dynamic system from any archive this build

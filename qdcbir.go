@@ -394,9 +394,9 @@ func (s *System) KNNContext(ctx context.Context, exampleImage, k int) ([]Scored,
 	return s.searchKNN(ctx, s.corpus.Vectors[exampleImage], k)
 }
 
-// searchKNN runs one observed global k-NN search, through the SQ8 two-phase
-// scan when the system is quantized and the plain best-first descent
-// otherwise; results are identical either way.
+// searchKNN runs one observed global k-NN search in the tree's scan mode:
+// the float32 sweep, the SQ8 two-phase scan (whose results equal the exact
+// search's) or the plain best-first descent.
 func (s *System) searchKNN(ctx context.Context, q vec.Vector, k int) ([]Scored, error) {
 	o := s.engine.Config().Observer
 	var acc disk.Accounter
@@ -405,24 +405,15 @@ func (s *System) searchKNN(ctx context.Context, q vec.Vector, k int) ([]Scored, 
 		acc = &disk.Counter{}
 		t0 = time.Now()
 	}
-	var ns []rstar.Neighbor
-	var err error
+	st := rstar.SearchStats{Timed: o != nil}
 	tree := s.rfs.Tree()
-	if s.cfg.Float32 {
-		ns, err = tree.KNNF32FromStatsCtx(ctx, tree.Root(), q, k, acc, nil)
-	} else if s.cfg.Quantized {
-		st := rstar.SearchStats{Timed: o != nil}
-		ns, err = tree.KNNQuantFromStatsCtx(ctx, tree.Root(), q, k, s.cfg.RerankFactor, acc, &st)
-		if err == nil && o != nil {
-			o.KNNPhases(st.ScanNS, st.RerankNS, st.RerankFallbacks)
-		}
-	} else {
-		ns, err = tree.KNNCtx(ctx, q, k, acc)
-	}
+	res, err := tree.KNNSearch(ctx, tree.Root(), []rstar.Query{{Point: q, K: k, Acc: acc, Stats: &st}}, nil, s.cfg.RerankFactor)
 	if err != nil {
 		return nil, err
 	}
+	ns := res[0]
 	if o != nil {
+		o.KNNPhases(st.ScanNS, st.RerankNS, st.RerankFallbacks)
 		o.KNNDone(time.Since(t0), acc.Reads())
 	}
 	out := make([]Scored, len(ns))
