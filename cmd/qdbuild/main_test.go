@@ -3,113 +3,120 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
-	"qdcbir/internal/rfs"
+	"qdcbir"
 	"qdcbir/internal/rstar"
-	"qdcbir/internal/store"
 )
 
-func TestBuildArchiveAndRoundTrip(t *testing.T) {
-	arch, err := buildArchive(1, 10, 300, 20, 0.2, false, "str", false, slog.New(slog.NewTextHandler(io.Discard, nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arch.Infos) == 0 || arch.RFS == nil {
-		t.Fatal("empty archive")
-	}
-	// Encode/decode through a real file, then reconstruct the structure —
-	// the qdbuild → qdquery/qdserve handoff.
-	path := filepath.Join(t.TempDir(), "db.gob")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(f).Encode(arch); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+func discardLog() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, nil)) }
 
-	g, err := os.Open(path)
+// saveAndLoad writes sys as qdbuild's default mode does and reopens it
+// through qdcbir.LoadFile — the qdbuild → qdquery/qdserve handoff. It
+// returns the loaded system and the archive's size in bytes.
+func saveAndLoad(t *testing.T, sys *qdcbir.System) (*qdcbir.System, int64) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "db.gob")
+	if err := sys.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
-	var loaded Archive
-	if err := gob.NewDecoder(g).Decode(&loaded); err != nil {
-		t.Fatal(err)
-	}
-	structure, err := rfs.FromSnapshot(loaded.RFS)
+	loaded, err := qdcbir.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if structure.Len() != len(arch.Infos) {
-		t.Errorf("loaded %d images for %d infos", structure.Len(), len(arch.Infos))
+	return loaded, info.Size()
+}
+
+// knnIDs runs a global k-NN from a corpus image and returns the result IDs.
+func knnIDs(t *testing.T, sys *qdcbir.System, example, k int) []int {
+	t.Helper()
+	res, err := sys.KNN(example, k)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if structure.RepCount() == 0 {
-		t.Error("no representatives after reload")
+	ids := make([]int, len(res))
+	for i, r := range res {
+		ids[i] = r.ID
+	}
+	return ids
+}
+
+func TestBuildSystemRoundTrip(t *testing.T) {
+	sys, err := buildSystem(1, 10, 300, 20, 0.2, false, "str", false, discardLog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Len() == 0 || sys.RepresentativeCount() == 0 {
+		t.Fatal("empty build")
+	}
+	loaded, _ := saveAndLoad(t, sys)
+	if loaded.Len() != len(sys.Corpus().Infos) || len(loaded.Corpus().Infos) != loaded.Len() {
+		t.Errorf("loaded %d images (%d infos) for %d infos", loaded.Len(), len(loaded.Corpus().Infos), len(sys.Corpus().Infos))
+	}
+	if loaded.RepresentativeCount() != sys.RepresentativeCount() {
+		t.Errorf("%d representatives after reload, want %d", loaded.RepresentativeCount(), sys.RepresentativeCount())
+	}
+	if !reflect.DeepEqual(knnIDs(t, sys, 5, 15), knnIDs(t, loaded, 5, 15)) {
+		t.Error("k-NN diverged across the archive round trip")
 	}
 }
 
-func TestBuildArchiveVectorMode(t *testing.T) {
+func TestBuildSystemVectorMode(t *testing.T) {
 	var log bytes.Buffer
-	arch, err := buildArchive(2, 10, 400, 20, 0.1, true, "kmeans", false, slog.New(slog.NewTextHandler(&log, nil)))
+	sys, err := buildSystem(2, 10, 400, 20, 0.1, true, "kmeans", false, slog.New(slog.NewTextHandler(&log, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Spec rounding distributes images per category; the total lands close
 	// to but not exactly on the request.
-	if n := len(arch.Infos); n < 350 || n > 400 {
-		t.Errorf("infos = %d, want ~400", n)
+	if n := sys.Len(); n < 350 || n > 400 {
+		t.Errorf("images = %d, want ~400", n)
 	}
-	if !bytes.Contains(log.Bytes(), []byte("RFS structure")) {
+	if !bytes.Contains(log.Bytes(), []byte("system built")) {
 		t.Error("progress log missing")
+	}
+	loaded, _ := saveAndLoad(t, sys)
+	if loaded.Len() != sys.Len() {
+		t.Errorf("loaded %d images, want %d", loaded.Len(), sys.Len())
 	}
 }
 
-// TestBuildArchiveQuantized checks -quantize embeds an SQ8 quantizer the
-// reader side (qdquery/qdserve) can adopt into the reconstructed structure,
-// and that quantized searches then match the exact path exactly.
-func TestBuildArchiveQuantized(t *testing.T) {
-	arch, err := buildArchive(3, 8, 250, 20, 0.2, true, "str", true, slog.New(slog.NewTextHandler(io.Discard, nil)))
+// TestBuildSystemQuantized checks -quantize embeds an SQ8 quantizer that the
+// loaded system adopts, and that quantized searches then match the exact
+// path exactly.
+func TestBuildSystemQuantized(t *testing.T) {
+	exact, err := buildSystem(3, 8, 250, 20, 0.2, true, "str", false, discardLog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arch.Quant == nil {
-		t.Fatal("quantized build embedded no quantizer")
-	}
-	if want := len(arch.Infos) * arch.Quant.Dim; len(arch.Quant.Codes) != want {
-		t.Fatalf("codes table is %d bytes, want %d", len(arch.Quant.Codes), want)
-	}
-	// The reader-side handoff: reconstruct, adopt, and compare searches.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(arch); err != nil {
-		t.Fatal(err)
-	}
-	var loaded Archive
-	if err := gob.NewDecoder(&buf).Decode(&loaded); err != nil {
-		t.Fatal(err)
-	}
-	structure, err := rfs.FromSnapshot(loaded.RFS)
+	sys, err := buildSystem(3, 8, 250, 20, 0.2, true, "str", true, discardLog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	qz, err := store.FromParts(*loaded.Quant)
-	if err != nil {
-		t.Fatal(err)
+	if !sys.Quantized() {
+		t.Fatal("quantized build fell back to exact scoring")
 	}
-	if err := structure.AdoptQuantized(qz); err != nil {
-		t.Fatal(err)
+	_, exactSize := saveAndLoad(t, exact)
+	loaded, size := saveAndLoad(t, sys)
+	if !loaded.Quantized() || !loaded.RFS().Tree().QuantizedScoring() {
+		t.Fatal("loaded system did not adopt the embedded quantizer")
 	}
+	// The embedded codes table holds one byte per coordinate.
+	if codes := int64(sys.Len() * sys.Corpus().Store().Dim()); size-exactSize < codes {
+		t.Fatalf("quantized archive is %d bytes larger than the exact one, want >= %d of codes", size-exactSize, codes)
+	}
+	structure := loaded.RFS()
 	tree := structure.Tree()
-	for _, id := range []int{0, 100, len(arch.Infos) - 1} {
+	for _, id := range []int{0, 100, loaded.Len() - 1} {
 		q := structure.Point(rstar.ItemID(id))
 		exact := tree.KNN(q, 10, nil)
 		quantOut, err := tree.KNNSearch(context.Background(), tree.Root(), []rstar.Query{{Point: q, K: 10}}, nil, 0)

@@ -8,7 +8,6 @@
 //
 //	qdquery                 # build a small corpus in-memory and query it
 //	qdquery -db db.gob      # query a database persisted by qdbuild
-//	qdquery -db emb.gob     # also opens versioned archives (qdbuild -import)
 //
 // Session commands:
 //
@@ -25,7 +24,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +39,6 @@ import (
 	"qdcbir/internal/obs"
 	"qdcbir/internal/rfs"
 	"qdcbir/internal/rstar"
-	"qdcbir/internal/store"
 	"qdcbir/internal/user"
 	"qdcbir/internal/vec"
 )
@@ -65,7 +62,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "session seed")
 		parallel = flag.Int("parallelism", 0, "worker count for build and finalize pools (0 = one per CPU)")
 		traceOut = flag.String("trace-out", "", "on exit, write the session's traces as Perfetto trace-event JSON to this path (open at ui.perfetto.dev)")
-		quantize = flag.Bool("quantized", false, "run k-NN phases through the SQ8 two-phase scan (adopts the archive's quantizer when present, else trains one; results are identical)")
+		quantize = flag.Bool("quantized", false, "in-memory builds: run k-NN phases through the SQ8 two-phase scan (results are identical); archives carry their own scan mode")
 	)
 	flag.Parse()
 
@@ -109,69 +106,32 @@ func writeTraces(path string, o *obs.Observer) error {
 	return f.Close()
 }
 
+// open loads the archive at path, or builds a small corpus in process when
+// path is empty. quantize applies to the in-process build only: archives
+// carry their own configuration (dimension, precision, quantizer).
 func open(path string, seed int64, parallelism int, quantize bool, observer *obs.Observer) (*db, error) {
-	var infos []dataset.Info
-	var structure *rfs.Structure
-	if path == "" {
-		fmt.Fprintln(os.Stderr, "no -db given; building a small in-memory corpus...")
-		spec := dataset.SmallSpec(seed, 25, 1200)
-		corpus := dataset.Build(spec, dataset.Options{Seed: seed + 1, Parallelism: parallelism})
-		infos = corpus.Infos
-		structure = rfs.Build(corpus.Vectors, rfs.BuildConfig{
-			RepFraction: 0.2,
-			Tree:        rstar.Config{MaxFill: 24},
-			TargetFill:  20,
-			Seed:        seed + 2,
-			Parallelism: parallelism,
-		})
-	} else {
-		f, err := os.Open(path)
+	if path != "" {
+		sys, err := qdcbir.LoadFile(path)
 		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		br := bufio.NewReader(f)
-		// Versioned system archives (qdbuild -import, qdcbir.SaveFile) open
-		// with the 0xD1 'Q' 'D' magic — a prefix no gob stream can start with.
-		// They carry their own configuration (dimension, precision, quantizer),
-		// so the engine flags of this command don't apply to them.
-		if head, err := br.Peek(3); err == nil && head[0] == 0xD1 && head[1] == 'Q' && head[2] == 'D' {
-			sys, err := qdcbir.Load(br)
-			if err != nil {
-				return nil, fmt.Errorf("decode %s: %w", path, err)
-			}
-			if observer != nil {
-				sys = sys.WithObserver(observer)
-			}
-			return &db{infos: sys.Corpus().Infos, rfs: sys.RFS(), engine: sys.Engine()}, nil
-		}
-		var arch struct {
-			Infos []dataset.Info
-			RFS   *rfs.Snapshot
-			Quant *store.QuantParts
-		}
-		if err := gob.NewDecoder(br).Decode(&arch); err != nil {
 			return nil, fmt.Errorf("decode %s: %w", path, err)
 		}
-		structure, err = rfs.FromSnapshot(arch.RFS)
-		if err != nil {
-			return nil, err
+		if observer != nil {
+			sys = sys.WithObserver(observer)
 		}
-		infos = arch.Infos
-		if quantize && arch.Quant != nil {
-			qz, err := store.FromParts(*arch.Quant)
-			if err != nil {
-				return nil, fmt.Errorf("quantizer: %w", err)
-			}
-			if err := structure.AdoptQuantized(qz); err != nil {
-				return nil, fmt.Errorf("quantizer: %w", err)
-			}
-		}
+		return &db{infos: sys.Corpus().Infos, rfs: sys.RFS(), engine: sys.Engine()}, nil
 	}
-	// An unadopted quantized structure trains its quantizer inside
-	// core.NewEngine (Config.Quantized).
+	fmt.Fprintln(os.Stderr, "no -db given; building a small in-memory corpus...")
+	spec := dataset.SmallSpec(seed, 25, 1200)
+	corpus := dataset.Build(spec, dataset.Options{Seed: seed + 1, Parallelism: parallelism})
+	structure := rfs.Build(corpus.Vectors, rfs.BuildConfig{
+		RepFraction: 0.2,
+		Tree:        rstar.Config{MaxFill: 24},
+		TargetFill:  20,
+		Seed:        seed + 2,
+		Parallelism: parallelism,
+	})
 	return &db{
-		infos:  infos,
+		infos:  corpus.Infos,
 		rfs:    structure,
 		engine: core.NewEngine(structure, core.Config{Parallelism: parallelism, Observer: observer, Quantized: quantize}),
 	}, nil

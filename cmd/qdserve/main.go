@@ -12,11 +12,9 @@ package main
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -35,7 +33,6 @@ import (
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/server"
 	"qdcbir/internal/shard"
-	"qdcbir/internal/store"
 )
 
 func main() {
@@ -48,7 +45,7 @@ func main() {
 		parallel = flag.Int("parallelism", 0, "worker count for build and query pools (0 = one per CPU)")
 		debug    = flag.Bool("debug", false, "expose net/http/pprof profiling under /debug/pprof/")
 		digests  = flag.Duration("digest-interval", time.Minute, "how often to log the 1m windowed latency digests (0 disables)")
-		quantize = flag.Bool("quantized", false, "run k-NN phases through the SQ8 two-phase scan (adopts the archive's quantizer when present, else trains one; results are identical)")
+		quantize = flag.Bool("quantized", false, "in-memory builds: run k-NN phases through the SQ8 two-phase scan (results are identical); archives carry their own scan mode")
 		queryTO  = flag.Duration("query-timeout", 0, "server-side time budget per request (0 = none); expiry returns a structured 503 with Retry-After")
 		dynamic  = flag.Bool("dynamic", false, "serve through the segmented online-ingest engine: POST /v1/images inserts, DELETE /v1/images/{id} tombstones, queries pin epoch snapshots (dynamic v4 archives enable this automatically)")
 		maxConc  = flag.Int("max-concurrent", 0, "admission control: searches executing at once (0 disables admission control)")
@@ -210,7 +207,7 @@ type loaded struct {
 	label     server.Labeler
 	rasters   []*img.Image
 	replica   *shard.Replica // non-nil in shard-replica mode
-	version   int            // archive format version (0 = in-memory or legacy gob)
+	version   int            // archive format version (0 = in-memory or header-less gob)
 	precision string         // "float64", "float32", or "sq8"
 	quantized bool
 }
@@ -226,12 +223,12 @@ func precisionTag(quantized, f32 bool) string {
 	}
 }
 
-// load opens the database by sniffing the archive's magic header: a shard
-// slice (internal/shard), a dynamic segmented archive (Dynamic.Save), a
-// versioned system archive (qdcbir.Save), or a legacy bare-gob qdbuild
-// archive. An empty path builds a small corpus in process. dynamic forces
-// the online-ingest engine: static archives and in-process builds are
-// adopted as a single sealed segment; v4 archives select it automatically.
+// load opens the database: an archive file through qdcbir.OpenArchiveFile,
+// whose header picks the kind (shard slice, dynamic v4, or static system),
+// or, for an empty path, a small corpus built in process. dynamic forces the
+// online-ingest engine: static archives and in-process builds are adopted as
+// a single sealed segment; v4 archives select it automatically. quantize
+// applies to in-process builds only; archives carry their own scan mode.
 func load(path string, images int, seed int64, keepImages bool, parallelism int, quantize, dynamic bool, observer *obs.Observer) (*loaded, error) {
 	if path == "" && dynamic {
 		cfg := qdcbir.SmallConfig()
@@ -273,95 +270,28 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 			precision: precisionTag(quantize, false), quantized: quantize,
 		}, nil
 	}
-	f, err := os.Open(path)
+	o, err := qdcbir.OpenArchiveFile(path, dynamic, observer)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("archive %s: %w", path, err)
 	}
-	head := make([]byte, 4)
-	_, headErr := io.ReadFull(f, head)
-	f.Close()
-	if headErr == nil && shard.IsArchiveHeader(head) {
-		if dynamic {
-			return nil, fmt.Errorf("shard archive %s: shard replicas are read-only slices and cannot be served dynamically", path)
-		}
-		rep, sys, err := qdcbir.OpenShardFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("shard archive %s: %w", path, err)
-		}
-		m := rep.Meta()
-		sys = sys.WithObserver(observer)
+	switch {
+	case o.Replica != nil:
+		m := o.Replica.Meta()
 		return &loaded{
-			eng: sys.Engine(), label: rep.Labeler(), replica: rep,
-			version: m.ArchiveVersion, precision: m.Precision, quantized: m.Quantized,
+			eng: o.System.Engine(), label: o.Replica.Labeler(), replica: o.Replica,
+			version: o.Version, precision: m.Precision, quantized: m.Quantized,
+		}, nil
+	case o.Dynamic != nil:
+		return &loaded{
+			dyn: o.Dynamic, version: o.Version,
+			precision: precisionTag(o.Dynamic.Config().Quantized, o.Dynamic.Config().Float32),
+			quantized: o.Dynamic.Config().Quantized,
+		}, nil
+	default:
+		return &loaded{
+			eng: o.System.Engine(), label: o.System.SubconceptOf, version: o.Version,
+			precision: precisionTag(o.System.Quantized(), o.System.Config().Float32),
+			quantized: o.System.Quantized(),
 		}, nil
 	}
-	if v, ok := qdcbir.ArchiveHeaderVersion(head); headErr == nil && ok {
-		if v == qdcbir.DynamicArchiveVersion || dynamic {
-			// A v4 archive is dynamic by construction; -dynamic adopts a
-			// static archive as a single sealed segment.
-			dyn, err := qdcbir.LoadDynamicFile(path, observer)
-			if err != nil {
-				return nil, fmt.Errorf("archive %s: %w", path, err)
-			}
-			return &loaded{
-				dyn: dyn, version: v,
-				precision: precisionTag(dyn.Config().Quantized, dyn.Config().Float32),
-				quantized: dyn.Config().Quantized,
-			}, nil
-		}
-		sys, err := qdcbir.LoadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("archive %s: %w", path, err)
-		}
-		sys = sys.WithObserver(observer)
-		return &loaded{
-			eng: sys.Engine(), label: sys.SubconceptOf,
-			version:   v,
-			precision: precisionTag(sys.Quantized(), sys.Config().Float32),
-			quantized: sys.Quantized(),
-		}, nil
-	}
-	if dynamic {
-		return nil, fmt.Errorf("archive %s: legacy gob archives carry no corpus store and cannot be served dynamically (re-save with qdbuild first)", path)
-	}
-	f, err = os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var arch struct {
-		Infos []dataset.Info
-		RFS   *rfs.Snapshot
-		Quant *store.QuantParts
-	}
-	if err := gob.NewDecoder(f).Decode(&arch); err != nil {
-		return nil, fmt.Errorf("decode %s: %w", path, err)
-	}
-	structure, err := rfs.FromSnapshot(arch.RFS)
-	if err != nil {
-		return nil, err
-	}
-	if quantize && arch.Quant != nil {
-		qz, err := store.FromParts(*arch.Quant)
-		if err != nil {
-			return nil, fmt.Errorf("quantizer: %w", err)
-		}
-		if err := structure.AdoptQuantized(qz); err != nil {
-			return nil, fmt.Errorf("quantizer: %w", err)
-		}
-	}
-	infos := arch.Infos
-	label := func(id int) string {
-		if id < 0 || id >= len(infos) {
-			return ""
-		}
-		return infos[id].Subconcept
-	}
-	// An unadopted quantized structure trains its quantizer inside
-	// core.NewEngine (Config.Quantized).
-	eng := core.NewEngine(structure, core.Config{Parallelism: parallelism, Observer: observer, Quantized: quantize})
-	return &loaded{
-		eng: eng, label: label,
-		precision: precisionTag(quantize, false), quantized: quantize,
-	}, nil
 }

@@ -2,8 +2,10 @@ package main
 
 import (
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
+	"qdcbir"
 	"qdcbir/internal/server"
 )
 
@@ -41,5 +43,43 @@ func TestLoadInMemoryAndServe(t *testing.T) {
 func TestLoadMissingFile(t *testing.T) {
 	if _, err := load("/nonexistent.gob", 0, 1, false, 0, false, false, nil); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestLoadQdbuildArchive serves the file qdbuild writes by default — a
+// qdcbir.Build system saved with SaveFile — and checks the reported archive
+// version, statically and adopted into the dynamic engine.
+func TestLoadQdbuildArchive(t *testing.T) {
+	sys, err := qdcbir.Build(qdcbir.Config{
+		Seed: 4, Categories: 8, Images: 200, VectorMode: true,
+		NodeCapacity: 20, RepFraction: 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "db.gob")
+	if err := sys.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	ld, err := load(path, 0, 1, false, 0, false, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ld.version != 3 {
+		t.Errorf("archive version %d, want 3", ld.version)
+	}
+	if ld.eng == nil || ld.eng.RFS().Len() != sys.Len() || ld.label(0) != sys.SubconceptOf(0) {
+		t.Fatal("static load does not serve the archived corpus")
+	}
+	if ld.precision != "float64" || ld.quantized {
+		t.Errorf("precision %q quantized %v, want float64 exact", ld.precision, ld.quantized)
+	}
+	dyn, err := load(path, 0, 1, false, 0, false, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dyn.dyn.Close()
+	if dyn.version != 3 || dyn.dyn.Stats().Live != sys.Len() {
+		t.Errorf("dynamic load: version %d, %d live, want 3 and %d", dyn.version, dyn.dyn.Stats().Live, sys.Len())
 	}
 }

@@ -2,6 +2,7 @@ package rfs
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -355,13 +356,19 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	pts := clusteredCorpus(rng, 6, 40, 4)
 	s := buildTest(t, pts, testCfg)
 
+	// The snapshot is the gob-persisted form (qdcbir's version-0 archives
+	// embed it), so round-trip it through gob as they do.
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := gob.NewEncoder(&buf).Encode(s.Snapshot()); err != nil {
+		t.Fatalf("encode snapshot: %v", err)
 	}
-	loaded, err := Load(&buf)
+	var snap Snapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatalf("decode snapshot: %v", err)
+	}
+	loaded, err := FromSnapshot(&snap)
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("FromSnapshot: %v", err)
 	}
 	if loaded.Len() != s.Len() || loaded.RepCount() != s.RepCount() {
 		t.Fatalf("loaded len=%d reps=%d, want %d/%d", loaded.Len(), loaded.RepCount(), s.Len(), s.RepCount())
@@ -391,11 +398,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsCorrupt(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Fatal("Load accepted garbage")
-	}
 	if _, err := FromSnapshot(nil); err == nil {
 		t.Fatal("FromSnapshot accepted nil")
+	}
+	if _, err := FromSnapshot(&Snapshot{}); err == nil {
+		t.Fatal("FromSnapshot accepted a snapshot without a tree")
 	}
 }
 

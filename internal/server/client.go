@@ -146,8 +146,11 @@ func (c *Client) NewSession(seed int64, displayCount int) *ClientSession {
 }
 
 // Candidates returns the next display of representatives — computed locally,
-// no server round trip.
+// no server round trip. A finalized session displays nothing.
 func (s *ClientSession) Candidates() []CandidateJSON {
+	if s.finalized {
+		return nil
+	}
 	total := 0
 	for _, n := range s.frontier {
 		total += len(n.Reps)
@@ -296,16 +299,21 @@ func (s *ClientSession) Finalize(k int) (*QueryResponse, error) {
 }
 
 // FinalizeContext is Finalize with cancellation: the context covers the whole
-// round trip, so a slow server-side query can be abandoned. The session still
-// counts as finalized.
+// round trip, so a slow server-side query can be abandoned. As with
+// core.Panel.Finalize, an invalid k or an empty panel is rejected without
+// consuming the session; once the query is sent, the session counts as
+// finalized even if the round trip fails.
 func (s *ClientSession) FinalizeContext(ctx context.Context, k int) (*QueryResponse, error) {
 	if s.finalized {
 		return nil, fmt.Errorf("server: session finalized")
 	}
-	s.finalized = true
+	if k <= 0 {
+		return nil, fmt.Errorf("server: invalid k=%d", k)
+	}
 	if len(s.relevant) == 0 {
 		return nil, fmt.Errorf("server: no relevant feedback given")
 	}
+	s.finalized = true
 	body, err := json.Marshal(QueryRequest{Relevant: s.relevant, K: k})
 	if err != nil {
 		return nil, err

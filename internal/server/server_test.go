@@ -329,6 +329,45 @@ func TestClientSideSessionFlow(t *testing.T) {
 	}
 }
 
+// TestClientFinalizeValidatesFirst pins the core.Panel.Finalize contract on
+// the client-side session: an invalid k or an empty panel is rejected
+// without consuming the session, and a finalized session displays nothing.
+func TestClientFinalizeValidatesFirst(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	client, err := Dial(ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := client.NewSession(3, 21)
+	display := sess.Candidates()
+	if len(display) == 0 {
+		t.Fatal("empty display")
+	}
+	if _, err := sess.Finalize(10); err == nil {
+		t.Fatal("finalize with no marks accepted")
+	}
+	if err := sess.Feedback([]int{display[0].ID, display[1].ID}); err != nil {
+		t.Fatalf("feedback after a rejected finalize: %v", err)
+	}
+	if _, err := sess.Finalize(0); err == nil {
+		t.Fatal("finalize with k=0 accepted")
+	}
+	res, err := sess.Finalize(10)
+	if err != nil {
+		t.Fatalf("finalize after a rejected k=0: %v", err)
+	}
+	total := 0
+	for _, g := range res.Groups {
+		total += len(g.Images)
+	}
+	if total != 10 {
+		t.Errorf("finalize returned %d images, want 10", total)
+	}
+	if got := sess.Candidates(); len(got) != 0 {
+		t.Errorf("finalized session still displays %d candidates", len(got))
+	}
+}
+
 func TestClientRejectsUndisplayedMark(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	client, err := Dial(ts.URL, nil)

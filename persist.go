@@ -12,8 +12,10 @@ import (
 	"qdcbir/internal/dataset"
 	"qdcbir/internal/feature"
 	"qdcbir/internal/img"
+	"qdcbir/internal/obs"
 	"qdcbir/internal/rfs"
 	"qdcbir/internal/rstar"
+	"qdcbir/internal/shard"
 	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
@@ -45,19 +47,6 @@ const ArchiveVersionCurrent = archiveVersionMax
 // version 4 with a pointer to LoadDynamic.
 const DynamicArchiveVersion = archiveVersionV4
 
-// ArchiveHeaderVersion inspects the first bytes of an archive stream: it
-// returns (version, true) when head begins with the versioned-family 4-byte
-// magic, and (0, false) otherwise — a false result means either a legacy
-// header-less version-0 gob archive or a foreign format (such as a shard
-// archive, which carries its own magic). Loaders use this to sniff the
-// archive kind before committing to a decoder.
-func ArchiveHeaderVersion(head []byte) (int, bool) {
-	if len(head) < 4 || !bytes.Equal(head[:3], archivePrefix[:]) {
-		return 0, false
-	}
-	return int(head[3]), true
-}
-
 // archiveHeader returns the 4-byte header of the given archive version.
 func archiveHeader(version byte) []byte {
 	return []byte{archivePrefix[0], archivePrefix[1], archivePrefix[2], version}
@@ -67,7 +56,9 @@ func archiveHeader(version byte) []byte {
 // archives written before the flat feature store still load. It stores every
 // corpus vector twice (once in the RFS snapshot's point table, once inside
 // the tree's leaf items) and the original colour channel a third time inside
-// ChannelVectors.
+// ChannelVectors. The same decoder opens files from qdbuild's former bare-gob
+// writer ({Infos, RFS, Quant}): gob leaves the missing fields zero, and Quant
+// is that writer's optional SQ8 quantizer.
 type archive struct {
 	Cfg            Config
 	Infos          []dataset.Info
@@ -75,6 +66,7 @@ type archive struct {
 	ChannelVectors map[img.Channel][]vec.Vector
 	NormMin        vec.Vector // extractor state (min-max normalizer)
 	NormMax        vec.Vector
+	Quant          *store.QuantParts // nil unless written by qdbuild -quantize
 }
 
 // archiveV1 is the version-1 wire format: the corpus feature vectors travel
@@ -205,40 +197,129 @@ func (s *System) SaveFile(path string) error {
 	return atomicfile.WriteFile(path, s.Save)
 }
 
-// Load reconstructs a system persisted by Save. Every archive version this
-// build knows — the current version 3, versions 1 and 2, and the header-less
-// version-0 gob format — is accepted; the version is detected from the first
-// bytes of the stream. A headered archive of an unknown version is rejected
-// with an error naming the on-disk version and the supported range.
+// Opened is an archive opened by OpenArchiveFile, with its format version.
+// Exactly one of System and Dynamic is set; Replica is set alongside System
+// for a shard archive, whose System is the shard's local subset.
+type Opened struct {
+	Version int // 0 for a header-less version-0 gob archive
+	System  *System
+	Replica *shard.Replica
+	Dynamic *Dynamic
+}
+
+// openMode restricts which archive kinds openArchive accepts and what it
+// opens them as.
+type openMode int
+
+const (
+	openAny     openMode = iota // the header decides: shard, dynamic, or static
+	openStatic                  // Load: versions 0 through 3 only
+	openDynamic                 // LoadDynamic: static archives adopt as one segment
+)
+
+// OpenArchiveFile reads any archive this build writes; its header picks the
+// decoder. A shard archive opens through OpenShard; a version-4 archive
+// restores a Dynamic engine; versions 1 through 3 and the header-less
+// version 0 decode into a System. With dynamic set, a static archive is
+// adopted as a single sealed segment (OpenDynamic) and a shard archive is
+// refused. observer, when non-nil, receives the opened engine's telemetry.
+func OpenArchiveFile(path string, dynamic bool, observer *obs.Observer) (*Opened, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	mode := openAny
+	if dynamic {
+		mode = openDynamic
+	}
+	return openArchive(f, mode, observer)
+}
+
+// Load reconstructs a system persisted by Save. Every static archive version
+// this build knows — the current version 3, versions 1 and 2, and the
+// header-less version-0 gob format — is accepted; the version is detected
+// from the first bytes of the stream. A headered archive of an unknown
+// version is rejected with an error naming the on-disk version and the
+// supported range.
 func Load(r io.Reader) (*System, error) {
+	o, err := openArchive(r, openStatic, nil)
+	if err != nil {
+		return nil, err
+	}
+	return o.System, nil
+}
+
+// openArchive is the one archive-header dispatcher behind OpenArchiveFile,
+// Load and LoadDynamic.
+func openArchive(r io.Reader, mode openMode, observer *obs.Observer) (*Opened, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
-	if len(head) == 0 || head[0] != archivePrefix[0] {
-		// Not the headered family: either a version-0 bare gob stream or
-		// garbage, which gob rejects with its own decode error.
-		return loadV0(br)
+	if shard.IsArchiveHeader(head) {
+		if mode != openAny {
+			return nil, fmt.Errorf("qdcbir: shard archive: a read-only slice opens only as a shard replica (OpenShard)")
+		}
+		rep, sys, err := OpenShard(br)
+		if err != nil {
+			return nil, err
+		}
+		return &Opened{Version: rep.Meta().ArchiveVersion, System: observed(sys, observer), Replica: rep}, nil
 	}
-	if len(head) < 4 {
-		return nil, fmt.Errorf("qdcbir: truncated archive header: %d byte(s) of the 4-byte magic (%w)", len(head), err)
+	version := 0
+	if len(head) > 0 && head[0] == archivePrefix[0] {
+		// The headered family; anything else is a version-0 bare gob stream
+		// or garbage, which gob rejects with its own decode error.
+		if len(head) < 4 {
+			return nil, fmt.Errorf("qdcbir: truncated archive header: %d byte(s) of the 4-byte magic (%w)", len(head), err)
+		}
+		if !bytes.Equal(head[:3], archivePrefix[:]) {
+			return nil, fmt.Errorf("qdcbir: corrupt archive header % x: want prefix % x", head, archivePrefix)
+		}
+		version = int(head[3])
+		if version == archiveVersionV4 && mode == openStatic {
+			return nil, fmt.Errorf("qdcbir: archive version %d is a dynamic segmented archive: load it with LoadDynamic", version)
+		}
+		if version < archiveVersionV1 || version > archiveVersionV4 {
+			return nil, fmt.Errorf("qdcbir: archive version %d unsupported: this build reads versions 0 through %d (version 0 archives are header-less) and dynamic version %d",
+				version, archiveVersionMax, archiveVersionV4)
+		}
+		if _, err := br.Discard(4); err != nil {
+			return nil, fmt.Errorf("qdcbir: read header: %w", err)
+		}
 	}
-	if !bytes.Equal(head[:3], archivePrefix[:]) {
-		return nil, fmt.Errorf("qdcbir: corrupt archive header % x: want prefix % x", head, archivePrefix)
+	o := &Opened{Version: version}
+	switch version {
+	case archiveVersionV4:
+		o.Dynamic, err = loadDynamicV4(br, observer)
+	case 0:
+		o.System, err = loadV0(br)
+	default:
+		// Versions 1 through 3 share a payload layout (each adds optional
+		// fields, which gob leaves zero when absent), so one decoder serves
+		// all three.
+		o.System, err = loadStoreBacked(br)
 	}
-	version := head[3]
-	if version == archiveVersionV4 {
-		return nil, fmt.Errorf("qdcbir: archive version %d is a dynamic segmented archive: load it with LoadDynamic", version)
+	if err != nil {
+		return nil, err
 	}
-	if version < archiveVersionV1 || version > archiveVersionMax {
-		return nil, fmt.Errorf("qdcbir: archive version %d unsupported: this build reads versions 0 through %d (version 0 archives are header-less)",
-			version, archiveVersionMax)
+	if mode == openDynamic && o.System != nil {
+		o.Dynamic, err = OpenDynamic(o.System, DynamicConfig{Observer: observer})
+		o.System = nil
+		if err != nil {
+			return nil, err
+		}
 	}
-	if _, err := br.Discard(4); err != nil {
-		return nil, fmt.Errorf("qdcbir: read header: %w", err)
+	o.System = observed(o.System, observer)
+	return o, nil
+}
+
+// observed returns sys reporting to observer, or sys itself when either is
+// nil.
+func observed(sys *System, observer *obs.Observer) *System {
+	if sys == nil || observer == nil {
+		return sys
 	}
-	// Versions 1 through 3 share a payload layout (each adds optional
-	// fields, which gob leaves zero when absent), so one decoder serves all
-	// three.
-	return loadStoreBacked(br)
+	return sys.WithObserver(observer)
 }
 
 // loadStoreBacked decodes the store-backed formats (versions 1-3): the
@@ -303,20 +384,32 @@ func loadStoreBacked(r io.Reader) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	var qz *store.Quantized
-	if a.Quant != nil {
-		qz, err = store.FromParts(*a.Quant)
-		if err != nil {
-			return nil, fmt.Errorf("qdcbir: quantizer: %w", err)
-		}
+	qz, err := quantizerOf(a.Quant)
+	if err != nil {
+		return nil, err
 	}
 	return assembleLoaded(a.Cfg, corpus, structure, qz)
+}
+
+// quantizerOf restores a persisted SQ8 quantizer; nil parts restore none.
+func quantizerOf(parts *store.QuantParts) (*store.Quantized, error) {
+	if parts == nil {
+		return nil, nil
+	}
+	qz, err := store.FromParts(*parts)
+	if err != nil {
+		return nil, fmt.Errorf("qdcbir: quantizer: %w", err)
+	}
+	return qz, nil
 }
 
 // loadV0 decodes the legacy gob format. The duplicated original channel in
 // old archives is discarded in favour of an alias when the corpus adopts its
 // feature store, so version-0 archives load into exactly the deduplicated
-// in-memory layout that version-1 archives produce.
+// in-memory layout that version-1 archives produce. A file from qdbuild's
+// former writer records no Config: the build knobs are recovered from the RFS
+// snapshot, and an embedded -quantize quantizer is adopted, so the system
+// scans SQ8 as that build did.
 func loadV0(r io.Reader) (*System, error) {
 	var a archive
 	if err := gob.NewDecoder(r).Decode(&a); err != nil {
@@ -333,7 +426,27 @@ func loadV0(r io.Reader) (*System, error) {
 	if a.NormMin != nil {
 		corpus.Extractor = feature.NewExtractorFromBounds(a.NormMin, a.NormMax)
 	}
-	return assembleLoaded(a.Cfg, corpus, structure, nil)
+	if a.Cfg == (Config{}) {
+		// A former qdbuild file records no Config, only the RFS build
+		// configuration, whose seed is the build seed + 2.
+		bc := a.RFS.Cfg
+		a.Cfg = Config{
+			Seed:         bc.Seed - 2,
+			Categories:   len(corpus.Categories()),
+			Images:       corpus.Len(),
+			NodeCapacity: bc.Tree.MaxFill,
+			RepFraction:  bc.RepFraction,
+			Hierarchy:    bc.Hierarchy,
+		}
+	}
+	qz, err := quantizerOf(a.Quant)
+	if err != nil {
+		return nil, err
+	}
+	if qz != nil {
+		a.Cfg.Quantized = true
+	}
+	return assembleLoaded(a.Cfg, corpus, structure, qz)
 }
 
 // LoadFile reconstructs a system from a file written by SaveFile.

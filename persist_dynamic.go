@@ -1,8 +1,6 @@
 package qdcbir
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -34,8 +32,8 @@ type archiveSegV4 struct {
 // segments, the memtable image (base ID, row-major float64 rows including
 // tombstoned slots, tombstoned slot indices), the ID allocator and epoch,
 // and the label table. Written by Dynamic.Save behind the versioned 4-byte
-// header with version 4; read only by LoadDynamic (the static Load rejects
-// it with a pointer here).
+// header with version 4; read by LoadDynamic and OpenArchiveFile (the static
+// Load rejects it with a pointer to LoadDynamic).
 type archiveV4 struct {
 	Dim                int
 	SealThreshold      int
@@ -122,19 +120,11 @@ func (d *Dynamic) SaveFile(path string) error {
 // segment via OpenDynamic. observer may be nil; when set it receives the
 // restored engine's ingest metrics.
 func LoadDynamic(r io.Reader, observer *obs.Observer) (*Dynamic, error) {
-	br := bufio.NewReader(r)
-	head, _ := br.Peek(4)
-	if len(head) == 4 && bytes.Equal(head[:3], archivePrefix[:]) && head[3] == archiveVersionV4 {
-		if _, err := br.Discard(4); err != nil {
-			return nil, fmt.Errorf("qdcbir: read header: %w", err)
-		}
-		return loadDynamicV4(br, observer)
-	}
-	sys, err := Load(br)
+	o, err := openArchive(r, openDynamic, observer)
 	if err != nil {
 		return nil, err
 	}
-	return OpenDynamic(sys, DynamicConfig{Observer: observer})
+	return o.Dynamic, nil
 }
 
 // LoadDynamicFile reconstructs a dynamic system from a file.

@@ -2,12 +2,17 @@ package qdcbir
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"qdcbir/internal/dataset"
+	"qdcbir/internal/rfs"
+	"qdcbir/internal/store"
 )
 
 // quantSystem builds a small quantized vector-mode system for archive tests.
@@ -157,6 +162,159 @@ func TestArchiveV0LoadCompat(t *testing.T) {
 	if !reflect.DeepEqual(knnIDs(t, sys, 3, 20), knnIDs(t, loaded, 3, 20)) {
 		t.Fatal("k-NN diverged across the v0 round trip")
 	}
+}
+
+// qdbuildArchive is the bare-gob format qdbuild wrote before it switched to
+// System.SaveFile: ground truth, the RFS snapshot (which carries the
+// vectors), and the SQ8 quantizer of a -quantize build — no Config.
+type qdbuildArchive struct {
+	Infos []dataset.Info
+	RFS   *rfs.Snapshot
+	Quant *store.QuantParts
+}
+
+// encodeQdbuildArchive writes sys in the former qdbuild format, embedding
+// its quantizer when it has one.
+func encodeQdbuildArchive(t *testing.T, sys *System) []byte {
+	t.Helper()
+	a := qdbuildArchive{Infos: sys.corpus.Infos, RFS: sys.rfs.Snapshot()}
+	if sys.quant != nil {
+		parts := sys.quant.Parts()
+		a.Quant = &parts
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&a); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sessionTranscript drives a scripted two-round feedback session and
+// returns every display followed by the finalized result.
+func sessionTranscript(t *testing.T, sys *System) []any {
+	t.Helper()
+	sess := sys.NewSession(11)
+	var out []any
+	for round := 0; round < 2; round++ {
+		display := sess.Candidates()
+		out = append(out, display)
+		var marks []int
+		for _, c := range display[:3] {
+			marks = append(marks, c.ID)
+		}
+		if err := sess.Feedback(marks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := sess.Finalize(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, res)
+}
+
+// TestArchiveQdbuildLoadCompat opens files written by qdbuild's former
+// bare-gob writer: Load answers exactly as Build does, an embedded quantizer
+// is adopted (and SQ8 answers equal exact ones), and LoadDynamic adopts the
+// file as a single sealed segment.
+func TestArchiveQdbuildLoadCompat(t *testing.T) {
+	cfg := SmallConfig()
+	cfg.VectorMode = true
+	cfg.Images = 400
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := encodeQdbuildArchive(t, sys)
+
+	loaded, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("qdbuild archive rejected: %v", err)
+	}
+	if loaded.Quantized() {
+		t.Fatal("archive without a quantizer loaded quantized")
+	}
+	got, want := loaded.Config(), sys.Config()
+	if got.Seed != want.Seed || got.NodeCapacity != want.NodeCapacity ||
+		got.RepFraction != want.RepFraction || got.Hierarchy != want.Hierarchy || got.Images != sys.Len() {
+		t.Fatalf("recovered config %+v, built with %+v", got, want)
+	}
+	for _, ex := range []int{0, 3, 250} {
+		if !reflect.DeepEqual(knnIDs(t, sys, ex, 20), knnIDs(t, loaded, ex, 20)) {
+			t.Fatalf("k-NN from %d diverged across the qdbuild archive", ex)
+		}
+	}
+	if !reflect.DeepEqual(sessionTranscript(t, sys), sessionTranscript(t, loaded)) {
+		t.Fatal("feedback session diverged across the qdbuild archive")
+	}
+
+	t.Run("quantized", func(t *testing.T) {
+		qsys := quantSystem(t)
+		qloaded, err := Load(bytes.NewReader(encodeQdbuildArchive(t, qsys)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !qloaded.Quantized() || !qloaded.rfs.Tree().QuantizedScoring() {
+			t.Fatal("embedded quantizer was not adopted")
+		}
+		if !reflect.DeepEqual(qsys.quant.Parts(), qloaded.quant.Parts()) {
+			t.Fatal("adopted quantizer differs from the embedded one")
+		}
+		for _, ex := range []int{9, 42, sys.Len() - 1} {
+			want, err := sys.KNN(ex, 15)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := qloaded.KNN(ex, 15)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("SQ8 k-NN from %d differs from the exact answer", ex)
+			}
+		}
+	})
+
+	t.Run("dynamic", func(t *testing.T) {
+		d, err := LoadDynamic(bytes.NewReader(data), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if st := d.Stats(); st.Segments != 1 || st.Live != sys.Len() {
+			t.Fatalf("adopted stats %+v for corpus of %d", st, sys.Len())
+		}
+		// The dynamic engine runs under the same knobs as one adopted from
+		// the versioned archive of the same build.
+		var v3 bytes.Buffer
+		if err := sys.Save(&v3); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := LoadDynamic(&v3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ref.Close()
+		if !reflect.DeepEqual(d.Config(), ref.Config()) {
+			t.Fatalf("adopted config %+v, want %+v", d.Config(), ref.Config())
+		}
+		want, err := sys.KNN(7, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.KNN(context.Background(), sys.Corpus().Store().At(7), 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID {
+				t.Fatalf("adopted KNN rank %d: got %d, want %d", i, got[i].ID, want[i].ID)
+			}
+		}
+		if d.LabelOf(7) != sys.SubconceptOf(7) {
+			t.Fatalf("adopted label %q, want %q", d.LabelOf(7), sys.SubconceptOf(7))
+		}
+	})
 }
 
 // TestLoadHeaderErrors pins the load diagnostics over damaged and

@@ -8,7 +8,6 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"os"
 
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/shard"
@@ -170,16 +169,6 @@ func OpenShard(r io.Reader) (*shard.Replica, *System, error) {
 		return nil, nil, err
 	}
 	return rep, sys, nil
-}
-
-// OpenShardFile reads a shard archive from a file.
-func OpenShardFile(path string) (*shard.Replica, *System, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	return OpenShard(f)
 }
 
 // shardCorpusSignature digests what must be identical across a fleet: the
